@@ -1,7 +1,8 @@
 """From raw event logs to padded training batches.
 
-Writes a small JSON-lines clickstream, then runs the full pipeline:
-parse -> support/length fixpoint filter -> temporal split -> cache -> batches.
+Writes a small JSON-lines clickstream, then runs the full pipeline: parse ->
+one columnar preparation pass (support/length fixpoint filter, temporal
+split, train-only catalog) -> cache (checked on load) -> batches.
 """
 
 import json
@@ -33,11 +34,12 @@ print(f"parsed {stats.events} events, skipped {stats.skipped}")
 
 # Items below the support floor and sessions below the length floor are
 # removed alternately until nothing changes; then the trailing window
-# becomes the test split and the catalog is rebuilt from train only.
+# becomes the test split and the catalog is built from train only.
 dataset = D.prepare_dataset(events, min_support=5, min_len=2, holdout=20_000)
 print("manifest:", dataset.manifest())
 
 D.save_prepared(dataset, workdir / "prepared")
+# Loading checks offsets, id range, frequencies and catalog size.
 reloaded = D.load_prepared(workdir / "prepared")
 print("cache round-trip OK:", reloaded.manifest() == dataset.manifest())
 

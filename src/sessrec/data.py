@@ -6,24 +6,25 @@ Input formats:
   ``{"session": 42, "events": [{"aid": 5, "ts": 100, "type": "clicks"}, ...]}``
 * event CSV with header ``session_id,item_id,timestamp`` (all rows are clicks)
 
-Preprocessing alternately removes items below a minimum support and sessions
-below a minimum length until a fixpoint, then assigns dense item ids. The
-temporal split keeps the trailing holdout window for testing and rebuilds the
-catalog (ids and empirical frequencies) from the training portion only.
+`prepare_dataset` works on flat per-event columns (session code, item code,
+timestamp) of the click events. It alternately removes items below a minimum
+support and sessions below a minimum length until a fixpoint, keeps the
+sessions ending in the trailing holdout window for testing, and builds the
+catalog (dense ids and empirical frequencies) from the training portion
+only. The cache stores the same columns with per-session offsets.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ItemIdError, ParseError
+from .errors import CacheError, ConfigError, EmptyDatasetError, ParseError
 
 CLICK, CART, ORDER = "click", "cart", "order"
 _EVENT_TYPES = {"clicks": CLICK, "carts": CART, "orders": ORDER, CLICK: CLICK, CART: CART, ORDER: ORDER}
@@ -52,9 +53,6 @@ class Session:
     def last_timestamp(self) -> int:
         return self.timestamps[-1]
 
-    def positives(self) -> set:
-        return set(self.items)
-
 
 class Catalog:
     """Dense item-id space plus empirical interaction frequencies."""
@@ -68,22 +66,6 @@ class Catalog:
     @property
     def n_items(self) -> int:
         return len(self.frequencies)
-
-    @classmethod
-    def from_sessions(cls, sessions: Sequence[Session]) -> "Catalog":
-        counts = Counter()
-        for s in sessions:
-            counts.update(s.items)
-        keys = sorted(counts)
-        id_map = {k: i for i, k in enumerate(keys)}
-        freqs = np.array([counts[k] for k in keys], dtype=np.int64)
-        return cls(id_map, freqs)
-
-    def encode(self, items: Iterable) -> list:
-        try:
-            return [self.id_map[i] for i in items]
-        except KeyError as exc:
-            raise ItemIdError(f"item {exc.args[0]!r} not in catalog") from None
 
 
 @dataclass
@@ -164,134 +146,6 @@ def _parse_csv(path: Path, strict: bool, stats: ParseStats | None) -> Iterator[E
 
 
 # ---------------------------------------------------------------------------
-# preprocessing
-
-
-def sessions_from_events(events: Iterable[Event], keep_types: set = frozenset({CLICK})) -> list[Session]:
-    """Group events by session (first-appearance order), sorted by timestamp."""
-    grouped: dict = {}
-    for ev in events:
-        if ev.event_type not in keep_types:
-            continue
-        grouped.setdefault(ev.session_id, []).append((ev.timestamp, ev.item_id))
-    sessions = []
-    for sid, pairs in grouped.items():
-        pairs.sort(key=lambda p: p[0])
-        sessions.append(Session(sid, [it for _, it in pairs], [ts for ts, _ in pairs]))
-    return sessions
-
-
-def filter_support_length(
-    sessions: Sequence[Session], min_support: int = 5, min_len: int = 2
-) -> list[Session]:
-    """Alternate item-support and session-length filters until a fixpoint."""
-    current = list(sessions)
-    while True:
-        support = Counter()
-        for s in current:
-            support.update(s.items)
-        keep_items = {i for i, c in support.items() if c >= min_support}
-        changed = False
-        pruned = []
-        for s in current:
-            if all(i in keep_items for i in s.items):
-                items, ts = s.items, s.timestamps
-            else:
-                changed = True
-                kept = [(i, t) for i, t in zip(s.items, s.timestamps) if i in keep_items]
-                items = [i for i, _ in kept]
-                ts = [t for _, t in kept]
-            if len(items) >= min_len:
-                pruned.append(Session(s.session_id, items, ts))
-            else:
-                changed = True
-        current = pruned
-        if not changed:
-            return current
-
-
-def preprocess(
-    events: Iterable[Event],
-    min_support: int = 5,
-    min_len: int = 2,
-    keep_types: set = frozenset({CLICK}),
-) -> tuple[list[Session], Catalog]:
-    """Filter raw events to a stable session set with dense item ids."""
-    sessions = sessions_from_events(events, keep_types)
-    sessions = filter_support_length(sessions, min_support, min_len)
-    if not sessions:
-        raise EmptyDatasetError("dataset empty after support/length filtering")
-    catalog = Catalog.from_sessions(sessions)
-    encoded = [
-        Session(s.session_id, catalog.encode(s.items), list(s.timestamps)) for s in sessions
-    ]
-    return encoded, catalog
-
-
-# ---------------------------------------------------------------------------
-# temporal split
-
-
-@dataclass
-class SplitResult:
-    train: list[Session]
-    test: list[Session]
-    catalog: Catalog
-
-
-def temporal_split(
-    sessions: Sequence[Session],
-    holdout: int,
-    min_len: int = 2,
-    item_keys: dict | None = None,
-) -> SplitResult:
-    """Assign sessions ending in the trailing `holdout` window to the test set.
-
-    The catalog is rebuilt from the training portion only; test items unknown
-    to it are dropped and the length floor is re-applied. `item_keys` maps the
-    incoming item representation back to raw keys so the rebuilt catalog can
-    keep raw-key lookups (identity if omitted).
-    """
-    if not sessions:
-        raise EmptyDatasetError("no sessions to split")
-    max_ts = max(s.last_timestamp for s in sessions)
-    span = max_ts - min(s.timestamps[0] for s in sessions)
-    if holdout >= span:
-        raise ValueError(f"holdout {holdout} must be shorter than the data span {span}")
-    cutoff = max_ts - holdout
-
-    train_raw = [s for s in sessions if s.last_timestamp <= cutoff]
-    test_raw = [s for s in sessions if s.last_timestamp > cutoff]
-    if not train_raw:
-        raise EmptyDatasetError("temporal split produced an empty train set")
-    if not test_raw:
-        raise EmptyDatasetError("temporal split produced an empty test set")
-
-    counts = Counter()
-    for s in train_raw:
-        counts.update(s.items)
-    old_ids = sorted(counts)
-    remap = {old: new for new, old in enumerate(old_ids)}
-    if item_keys is None:
-        id_map = dict(remap)
-    else:
-        id_map = {item_keys[old]: new for old, new in remap.items()}
-    catalog = Catalog(id_map, np.array([counts[o] for o in old_ids], dtype=np.int64))
-
-    train = [
-        Session(s.session_id, [remap[i] for i in s.items], list(s.timestamps)) for s in train_raw
-    ]
-    test = []
-    for s in test_raw:
-        kept = [(remap[i], t) for i, t in zip(s.items, s.timestamps) if i in remap]
-        if len(kept) >= min_len:
-            test.append(Session(s.session_id, [i for i, _ in kept], [t for _, t in kept]))
-    if not test:
-        raise EmptyDatasetError("test set empty after restricting to train catalog")
-    return SplitResult(train, test, catalog)
-
-
-# ---------------------------------------------------------------------------
 # batching
 
 
@@ -367,7 +221,7 @@ def make_batches(
 
 
 # ---------------------------------------------------------------------------
-# prepared-dataset cache
+# prepared datasets: preprocessing and cache
 
 
 @dataclass
@@ -391,77 +245,109 @@ def prepare_dataset(
     min_support: int = 5,
     min_len: int = 2,
     holdout: int = 7 * 24 * 3600 * 1000,
-    keep_types: set = frozenset({CLICK}),
     support_scope: str = "all",
     fraction: float = 1.0,
     fraction_seed: int = 0,
 ) -> PreparedDataset:
-    """Full pipeline: group, filter, split, and (optionally) subsample.
+    """Filter, split, subsample and restrict click events in one columnar pass.
 
-    `support_scope` selects whether item support is counted on all data
-    before splitting ("all") or on the training portion only ("train").
-    `fraction` keeps a random subset of train sessions after splitting.
+    Sessions keep their first-appearance order, with events sorted by
+    timestamp (ties keep input order). `support_scope` runs the
+    support/length fixpoint on all events before the split ("all") or on
+    the training portion only ("train"). Sessions ending in the trailing
+    `holdout` window form the test set. `fraction` keeps a seeded random
+    subset of train sessions. The catalog (dense ids in sorted raw-key
+    order, frequencies) comes from the kept train events; test items
+    unknown to it are dropped and the length floor is re-applied.
     """
     if support_scope not in ("all", "train"):
         raise ValueError(f"support_scope must be 'all' or 'train', got {support_scope!r}")
-    sessions = sessions_from_events(events, keep_types)
-    if support_scope == "all":
-        sessions = filter_support_length(sessions, min_support, min_len)
-        if not sessions:
-            raise EmptyDatasetError("dataset empty after support/length filtering")
-        split = temporal_split(sessions, holdout, min_len=min_len)
-    else:
-        if not sessions:
-            raise EmptyDatasetError("no sessions parsed")
-        max_ts = max(s.last_timestamp for s in sessions)
-        cutoff = max_ts - holdout
-        train = filter_support_length(
-            [s for s in sessions if s.last_timestamp <= cutoff], min_support, min_len
-        )
-        if not train:
-            raise EmptyDatasetError("train split empty after filtering")
-        test = [s for s in sessions if s.last_timestamp > cutoff]
-        split = _restrict_to_train(train, test, min_len)
-
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
+    session_keys, item_keys = {}, {}
+    session, item, ts = [], [], []
+    for ev in events:
+        if ev.event_type == CLICK:
+            session.append(session_keys.setdefault(ev.session_id, len(session_keys)))
+            item.append(item_keys.setdefault(ev.item_id, len(item_keys)))
+            ts.append(ev.timestamp)
+    session, item, ts = (np.array(c, dtype=np.int64) for c in (session, item, ts))
+    order = np.lexsort((ts, session))
+    session, item, ts = session[order], item[order], ts[order]
+
+    scoped = np.ones(len(session), dtype=bool)
+    if support_scope == "all":
+        scoped = filter_fixpoint(session, item, scoped, min_support, min_len)
+    if not scoped.any():
+        raise EmptyDatasetError(f"no sessions left to split (support_scope={support_scope!r})")
+    span = int(ts[scoped].max() - ts[scoped].min())
+    if holdout >= span:
+        raise ConfigError(f"holdout {holdout} ms must be shorter than the data span {span} ms")
+    cutoff = ts[scoped].max() - holdout
+    last = np.full(len(session_keys), np.iinfo(np.int64).min)
+    np.maximum.at(last, session[scoped], ts[scoped])
+    train = scoped & (last[session] <= cutoff)
+    test = scoped & (last[session] > cutoff)
+    if support_scope == "train":
+        train = filter_fixpoint(session, item, train, min_support, min_len)
+    if not train.any():
+        raise EmptyDatasetError(f"train split empty after filtering (cutoff {cutoff})")
     if fraction < 1.0:
-        rng = np.random.default_rng(fraction_seed)
-        keep = rng.permutation(len(split.train))[: max(1, int(round(fraction * len(split.train))))]
-        kept_train = [split.train[i] for i in sorted(keep)]
-        # catalog must reflect the kept portion; re-split is unnecessary
-        restricted = _restrict_to_train(
-            [Session(s.session_id, list(s.items), list(s.timestamps)) for s in kept_train],
-            [Session(s.session_id, list(s.items), list(s.timestamps)) for s in split.test],
-            min_len,
-        )
-        inverse = {v: k for k, v in split.catalog.id_map.items()}
-        restricted.catalog.id_map = {
-            inverse[old]: new for old, new in restricted.catalog.id_map.items()
-        }
-        split = restricted
+        codes = np.unique(session[train])
+        keep = np.random.default_rng(fraction_seed).permutation(len(codes))
+        train &= np.isin(session, codes[keep[: max(1, int(round(fraction * len(codes))))]])
 
-    return PreparedDataset(split.train, split.test, split.catalog)
-
-
-def _restrict_to_train(train: list[Session], test: list[Session], min_len: int) -> SplitResult:
-    counts = Counter()
-    for s in train:
-        counts.update(s.items)
-    keys = sorted(counts)
-    remap = {k: i for i, k in enumerate(keys)}
-    catalog = Catalog(dict(remap), np.array([counts[k] for k in keys], dtype=np.int64))
-    new_train = [
-        Session(s.session_id, [remap[i] for i in s.items], list(s.timestamps)) for s in train
-    ]
-    new_test = []
-    for s in test:
-        kept = [(remap[i], t) for i, t in zip(s.items, s.timestamps) if i in remap]
-        if len(kept) >= min_len:
-            new_test.append(Session(s.session_id, [i for i, _ in kept], [t for _, t in kept]))
-    if not new_test:
+    # the one restrict step: catalog from train, test limited to it
+    counts = np.bincount(item[train], minlength=len(item_keys))
+    raw_items = list(item_keys)
+    known = sorted(np.flatnonzero(counts).tolist(), key=raw_items.__getitem__)
+    dense = np.full(len(raw_items), -1, dtype=np.int64)
+    dense[known] = np.arange(len(known))
+    test &= dense[item] >= 0
+    test &= np.bincount(session[test], minlength=len(session_keys))[session] >= min_len
+    if not test.any():
         raise EmptyDatasetError("test set empty after restricting to train catalog")
-    return SplitResult(new_train, new_test, catalog)
+
+    raw_sessions = list(session_keys)
+
+    def sessions_of(mask: np.ndarray) -> list[Session]:
+        codes, lengths = np.unique(session[mask], return_counts=True)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return columns_to_sessions([raw_sessions[c] for c in codes.tolist()],
+                                   dense[item[mask]], ts[mask], offsets)
+
+    catalog = Catalog({raw_items[c]: i for i, c in enumerate(known)}, counts[known])
+    return PreparedDataset(sessions_of(train), sessions_of(test), catalog)
+
+
+def filter_fixpoint(
+    session: np.ndarray, item: np.ndarray, keep: np.ndarray, min_support: int, min_len: int
+) -> np.ndarray:
+    """Alternate item-support and session-length filters until a fixpoint.
+
+    `session` and `item` are per-event integer codes; only events where
+    `keep` is true take part. Returns the mask of surviving events.
+    """
+    n_sessions = int(session.max(initial=-1)) + 1
+    n_items = int(item.max(initial=-1)) + 1
+    while True:
+        support = np.bincount(item[keep], minlength=n_items)
+        kept = keep & (support[item] >= min_support)
+        kept &= np.bincount(session[kept], minlength=n_sessions)[session] >= min_len
+        if np.array_equal(kept, keep):
+            return keep
+        keep = kept
+
+
+def columns_to_sessions(
+    session_ids: Sequence, items: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray
+) -> list[Session]:
+    """Session `i` holds events `offsets[i]:offsets[i + 1]` of the columns."""
+    items, timestamps, bounds = items.tolist(), timestamps.tolist(), offsets.tolist()
+    return [
+        Session(sid, items[lo:hi], timestamps[lo:hi])
+        for sid, lo, hi in zip(session_ids, bounds, bounds[1:])
+    ]
 
 
 def save_prepared(dataset: PreparedDataset, out_dir) -> None:
@@ -493,19 +379,32 @@ def save_prepared(dataset: PreparedDataset, out_dir) -> None:
 
 
 def load_prepared(in_dir) -> PreparedDataset:
+    """Read a cache written by `save_prepared`; CacheError names a part that disagrees."""
     path = Path(in_dir)
     with np.load(path / "data.npz", allow_pickle=False) as blob:
-        def unpack(prefix: str) -> list[Session]:
-            items, ts = blob[f"{prefix}_items"], blob[f"{prefix}_ts"]
-            offsets, sids = blob[f"{prefix}_offsets"], blob[f"{prefix}_sids"]
-            return [
-                Session(str(sids[i]), items[offsets[i] : offsets[i + 1]].tolist(),
-                        ts[offsets[i] : offsets[i + 1]].tolist())
-                for i in range(len(sids))
-            ]
-
-        train, test = unpack("train"), unpack("test")
-        frequencies = blob["frequencies"]
+        arrays = {key: blob[key] for key in blob.files}
     with open(path / "catalog.json", "r", encoding="utf-8") as fh:
         id_map = {k: int(v) for k, v in json.load(fh).items()}
-    return PreparedDataset(train, test, Catalog(id_map, frequencies))
+    frequencies = arrays["frequencies"]
+    n_items = len(frequencies)
+    if len(id_map) != n_items:
+        raise CacheError(f"catalog.json holds {len(id_map)} items but frequencies {n_items}")
+    splits = []
+    for prefix in ("train", "test"):
+        items, ts = arrays[f"{prefix}_items"], arrays[f"{prefix}_ts"]
+        offsets, sids = arrays[f"{prefix}_offsets"], arrays[f"{prefix}_sids"]
+        if len(ts) != len(items):
+            raise CacheError(f"{prefix}_ts has {len(ts)} entries, {prefix}_items {len(items)}")
+        if (len(offsets) != len(sids) + 1 or offsets[0] != 0
+                or (np.diff(offsets) < 0).any() or offsets[-1] != len(items)):
+            raise CacheError(
+                f"{prefix}_offsets must rise monotonically from 0 to len({prefix}_items)="
+                f"{len(items)} in len({prefix}_sids)+1={len(sids) + 1} steps"
+            )
+        bad = (items < 0) | (items >= n_items)
+        if bad.any():
+            raise CacheError(f"{prefix}_items holds id {int(items[bad][0])} outside [0, {n_items})")
+        splits.append(columns_to_sessions(sids.tolist(), items, ts, offsets))
+    if not np.array_equal(frequencies, np.bincount(arrays["train_items"], minlength=n_items)):
+        raise CacheError("frequencies differ from np.bincount(train_items)")
+    return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))

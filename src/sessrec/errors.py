@@ -47,3 +47,7 @@ class DivergenceError(SessrecError, RuntimeError):
     def __init__(self, message: str, snapshot: dict | None = None):
         super().__init__(message)
         self.snapshot = snapshot or {}
+
+
+class CacheError(SessrecError, ValueError):
+    """A prepared-dataset cache whose parts disagree; names the array or key at fault."""

@@ -224,59 +224,6 @@ def score(state: ModelState, hidden: Tensor, item_ids) -> Tensor:
     return T.reshape(out, (b, width, k))
 
 
-def score_all(state: ModelState, hidden: Tensor, chunk_size: int | None = None) -> Tensor:
-    """Scores for every real catalog item (pad row excluded), for evaluation.
-
-    Contractions run through a fixed-order kernel, so any chunk size yields
-    bitwise-identical scores.
-    """
-    n = state.config.n_items
-    emb = state.params["item_emb"].data[:n]
-    h = hidden.data
-    if chunk_size is None or chunk_size >= n:
-        return Tensor(np.einsum("...d,vd->...v", h, emb, optimize=False))
-    parts = [
-        np.einsum("...d,vd->...v", h, emb[lo : lo + chunk_size], optimize=False)
-        for lo in range(0, n, chunk_size)
-    ]
-    return Tensor(np.concatenate(parts, axis=-1))
-
-
-def topk_items(
-    state: ModelState, hidden: Tensor, k: int, chunk_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k catalog items per position; chunks merge losslessly.
-
-    Ties break toward the lower item id; returns (ids, scores), both
-    [..., k], ranked best-first.
-    """
-    n = state.config.n_items
-    if not 1 <= k <= n:
-        raise ConfigError(f"top-k needs 1 <= k <= {n}, got {k}")
-    emb = state.params["item_emb"].data[:n]
-    h = hidden.data
-    if chunk_size is None:
-        chunk_size = n
-    best_scores = best_ids = None
-    for lo in range(0, n, chunk_size):
-        scores = np.einsum("...d,vd->...v", h, emb[lo : lo + chunk_size], optimize=False)
-        ids = np.broadcast_to(
-            np.arange(lo, min(lo + chunk_size, n)), scores.shape
-        )
-        if best_scores is not None:
-            scores = np.concatenate([best_scores, scores], axis=-1)
-            ids = np.concatenate([best_ids, ids], axis=-1)
-        take = min(k, scores.shape[-1])
-        # lexicographic (-score, id): stable argsort on ids then stable on -score
-        order = np.argsort(ids, axis=-1, kind="stable")
-        scores = np.take_along_axis(scores, order, axis=-1)
-        ids = np.take_along_axis(ids, order, axis=-1)
-        rank = np.argsort(-scores, axis=-1, kind="stable")[..., :take]
-        best_scores = np.take_along_axis(scores, rank, axis=-1)
-        best_ids = np.take_along_axis(ids, rank, axis=-1)
-    return best_ids, best_scores
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 

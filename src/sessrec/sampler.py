@@ -207,6 +207,13 @@ def sample_frequency(
     return NegativeSet(ids, Granularity(granularity), n_frequency=count)
 
 
+def inbatch_capacity(batch: SessionBatch) -> int:
+    """In-batch negatives every session can be given: the batch's distinct
+    items minus the distinct items of its largest session."""
+    rows = [set(batch.row_items(i).tolist()) for i in range(batch.size)]
+    return len(set().union(*rows)) - max(len(r) for r in rows)
+
+
 def sample_inbatch(
     batch: SessionBatch, count: int, rng, pool: str = "multiset"
 ) -> NegativeSet:
@@ -228,12 +235,9 @@ def sample_inbatch(
         )
 
     rows = [batch.row_items(i) for i in range(b)]
-    distinct_all = set()
-    for r in rows:
-        distinct_all.update(r.tolist())
-    largest = max(range(b), key=lambda i: len(set(rows[i].tolist())))
-    guaranteed = len(distinct_all) - len(set(rows[largest].tolist()))
+    guaranteed = inbatch_capacity(batch)
     if count > guaranteed:
+        largest = max(range(b), key=lambda i: len(set(rows[i].tolist())))
         raise PoolExhaustedError(
             f"session {batch.session_refs[largest].session_id!r}: "
             f"need {count} in-batch negatives but only {guaranteed} distinct "

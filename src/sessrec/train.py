@@ -26,6 +26,7 @@ from .sampler import (
     AliasTable,
     CountingGenerator,
     concat_negatives,
+    inbatch_capacity,
     rng_stream,
     sample_frequency,
     sample_inbatch,
@@ -146,12 +147,6 @@ def model_config_from(config: dict, n_items: int) -> ModelConfig:
     )
 
 
-def _inbatch_capacity(batch) -> int:
-    rows = [set(batch.row_items(i).tolist()) for i in range(batch.size)]
-    distinct = set().union(*rows)
-    return len(distinct) - max(len(r) for r in rows)
-
-
 def train_step(
     state: ModelState,
     batch,
@@ -183,7 +178,7 @@ def train_step(
         )
         draw_totals["frequency"] += rng.draws
     if config["negs.inbatch.count"] > 0:
-        want = min(config["negs.inbatch.count"], _inbatch_capacity(batch))
+        want = min(config["negs.inbatch.count"], inbatch_capacity(batch))
         if want > 0:
             rng = CountingGenerator(rng_stream(seed, "inbatch", epoch, index))
             parts.append(sample_inbatch(batch, want, rng, pool=config["negs.inbatch.pool"]))

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a small synthetic clickstream."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestPrep:
         code = main(["prep", "--input", str(tmp_path / "nope.jsonl"),
                      "--output-dir", str(tmp_path / "out")])
         assert code != 0
+
+    def test_holdout_longer_than_span_is_a_usage_error(self, tmp_path, raw_clicks, capsys):
+        for scope in ("all", "train"):
+            code = main(["prep", "--input", str(raw_clicks), "--output-dir", str(tmp_path / scope),
+                         "--holdout-days", "365", "--data.support_scope", scope])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert re.search(r"^error: holdout \d+ ms must be shorter than the data span \d+ ms$",
+                             err, re.MULTILINE), err
 
 
 TRAIN_ARGS = [

@@ -5,11 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sessrec import data as D
-from sessrec.errors import EmptyDatasetError, ParseError
+from sessrec.errors import CacheError, ConfigError, EmptyDatasetError, ParseError
 
 
 def events_of(*session_items, start_ts=0, step=1):
@@ -35,6 +35,29 @@ def brute_force_fixpoint(session_items, min_support, min_len, session_filter_fir
         if pruned == current:
             return current
         current = pruned
+
+
+DAY = 24 * 3600 * 1000
+
+
+def sessions_at(*sessions, **kwargs):
+    """prepare_dataset over click sessions given as (session_id, items, timestamps)."""
+    events = [D.Event(sid, i, t) for sid, items, ts in sessions for i, t in zip(items, ts)]
+    return D.prepare_dataset(events, **{"min_support": 1, "min_len": 2, **kwargs})
+
+
+def decoded(dataset, sessions):
+    raw = {dense: key for key, dense in dataset.catalog.id_map.items()}
+    return [[raw[i] for i in s.items] for s in sessions]
+
+
+def fixpoint_survivors(raw, min_support, min_len):
+    """Item lists of the sessions that filter_fixpoint keeps, in input order."""
+    session = np.repeat(np.arange(len(raw)), [len(s) for s in raw])
+    item = np.array([i for s in raw for i in s], dtype=np.int64)
+    keep = D.filter_fixpoint(session, item, np.ones(len(item), dtype=bool), min_support, min_len)
+    survivors = [item[keep & (session == i)].tolist() for i in range(len(raw))]
+    return [s for s in survivors if s], keep, session, item
 
 
 class TestParsing:
@@ -79,25 +102,31 @@ class TestParsing:
             list(D.parse_events(tmp_path / "absent.jsonl"))
 
     def test_event_type_filter(self):
-        evs = [D.Event(1, 1, 0, D.CLICK), D.Event(1, 2, 1, D.CART), D.Event(1, 3, 2, D.CLICK)]
-        sessions = D.sessions_from_events(evs)
-        assert sessions[0].items == [1, 3]
+        evs = [D.Event(1, "a", 0, D.CLICK), D.Event(1, "b", 1, D.CART), D.Event(1, "c", 2, D.CLICK),
+               D.Event(2, "a", 100, D.CLICK), D.Event(2, "c", 101, D.ORDER),
+               D.Event(2, "c", 102, D.CLICK)]
+        ds = D.prepare_dataset(evs, min_support=1, min_len=2, holdout=50)
+        assert decoded(ds, ds.train) == [["a", "c"]]
+        assert "b" not in ds.catalog.id_map
+        assert [s.timestamps for s in ds.test] == [[100, 102]]
 
     def test_out_of_order_timestamps_are_sorted(self):
-        evs = [D.Event(1, "b", 5, D.CLICK), D.Event(1, "a", 1, D.CLICK)]
-        sessions = D.sessions_from_events(evs)
-        assert sessions[0].items == ["a", "b"]
+        evs = [D.Event(2, "a", 101), D.Event(1, "b", 5), D.Event(1, "a", 1), D.Event(2, "b", 100)]
+        ds = D.prepare_dataset(evs, min_support=1, min_len=2, holdout=50)
+        assert [(s.session_id, s.timestamps) for s in ds.train] == [(1, [1, 5])]
+        assert decoded(ds, ds.train) == [["a", "b"]]
+        assert decoded(ds, ds.test) == [["b", "a"]]
 
 
 class TestPreprocess:
     def test_hand_traceable_fixpoint(self):
         # c is dropped for low support, [c,a] then dies of short length,
-        # and the recount keeps a=3, b=2
-        events = events_of(["a", "b", "a"], ["a", "b"], ["c", "a"])
-        sessions, catalog = D.preprocess(events, min_support=2, min_len=2)
-        decoded = [[k for i in s.items for k in [_raw(catalog, i)]] for s in sessions]
-        assert decoded == [["a", "b", "a"], ["a", "b"]]
-        assert {k: int(catalog.frequencies[v]) for k, v in catalog.id_map.items()} == {"a": 3, "b": 2}
+        # and the recount keeps a=3, b=2; the late session is the test set
+        events = events_of(["a", "b", "a"], ["a", "b"], ["c", "a"], ["a", "b"], step=10)
+        ds = D.prepare_dataset(events, min_support=2, min_len=2, holdout=15,
+                               support_scope="train")
+        assert decoded(ds, ds.train) == [["a", "b", "a"], ["a", "b"]]
+        assert {k: int(ds.catalog.frequencies[v]) for k, v in ds.catalog.id_map.items()} == {"a": 3, "b": 2}
 
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(20)
@@ -107,20 +136,14 @@ class TestPreprocess:
                 [int(x) for x in rng.integers(0, 8, size=rng.integers(1, 7))]
                 for _ in range(n_sessions)
             ]
-            ours = D.filter_support_length(
-                [D.Session(i, list(s), list(range(len(s)))) for i, s in enumerate(raw)],
-                min_support=3,
-                min_len=2,
-            )
             expected = brute_force_fixpoint(raw, 3, 2)
-            assert [s.items for s in ours] == expected
+            assert fixpoint_survivors(raw, 3, 2)[0] == expected
             # order of elimination must not matter
             assert expected == brute_force_fixpoint(raw, 3, 2, session_filter_first=True)
 
     def test_already_stable_input_unchanged(self):
-        events = events_of(["a", "b"], ["b", "a"])
-        sessions, _ = D.preprocess(events, min_support=2, min_len=2)
-        assert len(sessions) == 2 and all(len(s) == 2 for s in sessions)
+        _, keep, _, _ = fixpoint_survivors([[0, 1], [1, 0]], 2, 2)
+        assert keep.all()
 
     def test_fixpoint_property(self):
         rng = np.random.default_rng(21)
@@ -129,50 +152,33 @@ class TestPreprocess:
                 [int(x) for x in rng.integers(0, 6, size=rng.integers(1, 6))]
                 for _ in range(int(rng.integers(2, 10)))
             ]
-            once = D.filter_support_length(
-                [D.Session(i, list(s), list(range(len(s)))) for i, s in enumerate(raw)], 2, 2
-            )
-            twice = D.filter_support_length(once, 2, 2)
-            assert [s.items for s in once] == [s.items for s in twice]
+            _, once, session, item = fixpoint_survivors(raw, 2, 2)
+            np.testing.assert_array_equal(D.filter_fixpoint(session, item, once, 2, 2), once)
 
     def test_empty_result_is_an_error(self):
         with pytest.raises(EmptyDatasetError):
-            D.preprocess(events_of(["a"], ["b"]), min_support=5, min_len=2)
-
-
-def _raw(catalog, dense_id):
-    for key, value in catalog.id_map.items():
-        if value == dense_id:
-            return key
-    raise KeyError(dense_id)
-
-
-DAY = 24 * 3600 * 1000
+            D.prepare_dataset(events_of(["a"], ["b"]), min_support=5, min_len=2)
 
 
 class TestTemporalSplit:
     def test_last_week_boundary(self):
-        early = D.Session("early", [0, 1], [1 * DAY, 1 * DAY + 1])
-        late = D.Session("late", [0, 1], [9 * DAY, 9 * DAY + 1])
-        split = D.temporal_split([early, late], holdout=7 * DAY)
-        assert [s.session_id for s in split.train] == ["early"]
-        assert [s.session_id for s in split.test] == ["late"]
+        ds = sessions_at(("early", [0, 1], [1 * DAY, 1 * DAY + 1]),
+                         ("late", [0, 1], [9 * DAY, 9 * DAY + 1]), holdout=7 * DAY)
+        assert [s.session_id for s in ds.train] == ["early"]
+        assert [s.session_id for s in ds.test] == ["late"]
 
     def test_zero_holdout_raises(self):
-        a = D.Session("a", [0, 1], [0, 10])
-        b = D.Session("b", [0, 1], [20, 30])
         with pytest.raises(EmptyDatasetError):
-            D.temporal_split([a, b], holdout=0)
+            sessions_at(("a", [0, 1], [0, 10]), ("b", [0, 1], [20, 30]), holdout=0)
 
     def test_catalog_rebuilt_from_train_only(self):
-        train_s = D.Session("tr", [5, 6, 5], [0, 1, 2])
-        test_s = D.Session("te", [5, 7, 6], [100, 101, 102])
-        split = D.temporal_split([train_s, test_s], holdout=50)
-        assert split.catalog.n_items == 2  # item 7 unknown to train
-        assert sorted(split.catalog.id_map) == [5, 6]
-        np.testing.assert_array_equal(split.catalog.frequencies, [2, 1])
+        ds = sessions_at(("tr", [5, 6, 5], [0, 1, 2]), ("te", [5, 7, 6], [100, 101, 102]),
+                         holdout=50)
+        assert ds.catalog.n_items == 2  # item 7 unknown to train
+        assert sorted(ds.catalog.id_map) == [5, 6]
+        np.testing.assert_array_equal(ds.catalog.frequencies, [2, 1])
         # test session keeps only train-known items, re-encoded
-        assert [s.items for s in split.test] == [[0, 1]]
+        assert [s.items for s in ds.test] == [[0, 1]]
 
     def test_split_soundness_property(self):
         rng = np.random.default_rng(22)
@@ -180,19 +186,20 @@ class TestTemporalSplit:
         for i in range(60):
             n = int(rng.integers(2, 6))
             start = int(rng.integers(0, 80))
-            sessions.append(
-                D.Session(i, [int(x) for x in rng.integers(0, 12, n)], list(range(start, start + n)))
-            )
-        split = D.temporal_split(sessions, holdout=20)
-        max_ts = max(s.last_timestamp for s in sessions)
-        assert all(s.last_timestamp <= max_ts - 20 for s in split.train)
-        n_items = split.catalog.n_items
-        assert all(0 <= i < n_items for s in split.test for i in s.items)
+            sessions.append((i, [int(x) for x in rng.integers(0, 12, n)], list(range(start, start + n))))
+        ds = sessions_at(*sessions, holdout=20)
+        max_ts = max(ts[-1] for _, _, ts in sessions)
+        assert all(s.last_timestamp <= max_ts - 20 for s in ds.train)
+        n_items = ds.catalog.n_items
+        assert all(0 <= i < n_items for s in ds.test for i in s.items)
 
     def test_holdout_longer_than_span_rejected(self):
-        a = D.Session("a", [0, 1], [0, 10])
-        with pytest.raises(ValueError):
-            D.temporal_split([a], holdout=100)
+        for scope in ("all", "train"):
+            with pytest.raises(ConfigError, match="holdout 100 ms .* span 10 ms"):
+                sessions_at(("a", [0, 1], [0, 10]), holdout=100, support_scope=scope)
+            with pytest.raises(ValueError):
+                sessions_at(("a", [0, 1], [0, 10]), ("b", [0, 1], [5, 6]), holdout=10,
+                            support_scope=scope)
 
 
 class TestBatches:
@@ -238,20 +245,22 @@ class TestBatches:
         assert rebuilt == expected
 
 
+def cache_events():
+    rng = np.random.default_rng(23)
+    sessions = []
+    ts = 0
+    for i in range(40):
+        n = int(rng.integers(2, 6))
+        items = [int(x) for x in rng.integers(0, 10, n)]
+        sessions.append([D.Event(i, f"item{x}", ts + j) for j, x in enumerate(items)])
+        ts += 100
+    return [e for s in sessions for e in s]
+
+
 class TestPreparedCache:
-    def _dataset(self):
-        rng = np.random.default_rng(23)
-        sessions = []
-        ts = 0
-        for i in range(40):
-            n = int(rng.integers(2, 6))
-            items = [int(x) for x in rng.integers(0, 10, n)]
-            sessions.append([D.Event(i, f"item{x}", ts + j) for j, x in enumerate(items)])
-            ts += 100
-        return [e for s in sessions for e in s]
 
     def test_save_load_round_trip(self, tmp_path):
-        ds = D.prepare_dataset(self._dataset(), min_support=2, min_len=2, holdout=500)
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
         D.save_prepared(ds, tmp_path)
         loaded = D.load_prepared(tmp_path)
         assert loaded.manifest() == ds.manifest()
@@ -261,7 +270,7 @@ class TestPreparedCache:
         assert loaded.catalog.id_map == {str(k): v for k, v in ds.catalog.id_map.items()}
 
     def test_manifest_counts(self, tmp_path):
-        ds = D.prepare_dataset(self._dataset(), min_support=2, min_len=2, holdout=500)
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
         D.save_prepared(ds, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["train_sessions"] == len(ds.train)
@@ -285,8 +294,186 @@ class TestPreparedCache:
         assert "z" not in scoped_train.catalog.id_map
 
     def test_fraction_subsamples_train(self):
-        ds_full = D.prepare_dataset(self._dataset(), min_support=2, min_len=2, holdout=500)
-        ds_frac = D.prepare_dataset(self._dataset(), min_support=2, min_len=2, holdout=500,
+        ds_full = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
+        ds_frac = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500,
                                     fraction=0.5)
         assert len(ds_frac.train) == max(1, round(0.5 * len(ds_full.train)))
         assert ds_frac.catalog.n_items <= ds_full.catalog.n_items
+
+
+class TestCacheValidation:
+    def _corrupt(self, tmp_path, **changes):
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
+        D.save_prepared(ds, tmp_path)
+        with np.load(tmp_path / "data.npz") as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        for key, change in changes.items():
+            arrays[key] = change(arrays[key])
+        np.savez(tmp_path / "data.npz", **arrays)
+
+    def test_offsets_not_monotone(self, tmp_path):
+        self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate([o[:2], o[1:2] - 1, o[3:]]))
+        with pytest.raises(CacheError, match="train_offsets"):
+            D.load_prepared(tmp_path)
+
+    def test_offsets_not_ending_at_items(self, tmp_path):
+        self._corrupt(tmp_path, test_items=lambda items: items[:-1], test_ts=lambda ts: ts[:-1])
+        with pytest.raises(CacheError, match="test_offsets"):
+            D.load_prepared(tmp_path)
+
+    def test_offsets_not_starting_at_zero(self, tmp_path):
+        self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate([[1], o[1:]]))
+        with pytest.raises(CacheError, match="train_offsets"):
+            D.load_prepared(tmp_path)
+
+    def test_offsets_not_matching_session_ids(self, tmp_path):
+        self._corrupt(tmp_path, test_sids=lambda sids: sids[:-1])
+        with pytest.raises(CacheError, match="test_offsets"):
+            D.load_prepared(tmp_path)
+
+    def test_timestamps_not_matching_items(self, tmp_path):
+        self._corrupt(tmp_path, train_ts=lambda ts: ts[:-1])
+        with pytest.raises(CacheError, match="train_ts"):
+            D.load_prepared(tmp_path)
+
+    def test_item_id_out_of_range(self, tmp_path):
+        self._corrupt(tmp_path, test_items=lambda items: np.where(items == items[0], 10**6, items))
+        with pytest.raises(CacheError, match="test_items holds id 1000000"):
+            D.load_prepared(tmp_path)
+
+    def test_frequencies_not_train_counts(self, tmp_path):
+        self._corrupt(tmp_path, frequencies=lambda f: f + (np.arange(len(f)) == 0))
+        with pytest.raises(CacheError, match="frequencies differ"):
+            D.load_prepared(tmp_path)
+
+    def test_catalog_size_disagrees(self, tmp_path):
+        self._corrupt(tmp_path)
+        id_map = json.loads((tmp_path / "catalog.json").read_text())
+        id_map.pop(next(iter(id_map)))
+        (tmp_path / "catalog.json").write_text(json.dumps(id_map))
+        with pytest.raises(CacheError, match="catalog.json holds"):
+            D.load_prepared(tmp_path)
+
+
+def reference_prepare(events, min_support, min_len, holdout, support_scope, fraction,
+                      fraction_seed):
+    """Plain-Python preprocessing recipe: (train, test, id_map, frequencies).
+
+    Sessions are (session_id, items, timestamps) tuples. Raises ValueError
+    wherever the recipe leaves no usable split.
+    """
+    grouped = {}
+    for ev in events:
+        if ev.event_type == D.CLICK:
+            grouped.setdefault(ev.session_id, []).append((ev.timestamp, ev.item_id))
+    sessions = []
+    for sid, pairs in grouped.items():
+        pairs = sorted(pairs, key=lambda p: p[0])
+        sessions.append((sid, [i for _, i in pairs], [t for t, _ in pairs]))
+
+    def filtered(group):
+        survivors = brute_force_fixpoint([items for _, items, _ in group], min_support, min_len)
+        kept = {i for items in survivors for i in items}
+        out = []
+        for sid, items, ts in group:
+            pairs = [(i, t) for i, t in zip(items, ts) if i in kept]
+            if len(pairs) >= min_len:
+                out.append((sid, [i for i, _ in pairs], [t for _, t in pairs]))
+        assert [items for _, items, _ in out] == survivors
+        return out
+
+    if support_scope == "all":
+        sessions = filtered(sessions)
+    if not sessions:
+        raise ValueError("no sessions")
+    max_ts = max(ts[-1] for _, _, ts in sessions)
+    if holdout >= max_ts - min(ts[0] for _, _, ts in sessions):
+        raise ValueError("holdout not shorter than the span")
+    cutoff = max_ts - holdout
+    train = [s for s in sessions if s[2][-1] <= cutoff]
+    test = [s for s in sessions if s[2][-1] > cutoff]
+    if support_scope == "train":
+        train = filtered(train)
+    if not train or not test:
+        raise ValueError("empty split")
+    if fraction < 1.0:
+        keep = np.random.default_rng(fraction_seed).permutation(len(train))
+        train = [train[i] for i in sorted(keep[: max(1, int(round(fraction * len(train))))])]
+
+    counts = Counter(i for _, items, _ in train for i in items)
+    id_map = {key: dense for dense, key in enumerate(sorted(counts))}
+    frequencies = [counts[key] for key in sorted(counts)]
+    train = [(sid, [id_map[i] for i in items], ts) for sid, items, ts in train]
+    restricted = []
+    for sid, items, ts in test:
+        pairs = [(id_map[i], t) for i, t in zip(items, ts) if i in id_map]
+        if len(pairs) >= min_len:
+            restricted.append((sid, [i for i, _ in pairs], [t for _, t in pairs]))
+    if not restricted:
+        raise ValueError("test empty after restricting to the train catalog")
+    return train, restricted, id_map, frequencies
+
+
+@st.composite
+def event_logs(draw):
+    """Sessions of nearby events, shuffled together; cart/order events mixed in.
+
+    String mode mixes int and str session ids, so session ids are not
+    sortable, and its item keys sort lexically.
+    """
+    str_keys = draw(st.booleans())
+    kinds = st.sampled_from([D.CLICK, D.CLICK, D.CLICK, D.CART, D.ORDER])
+    sessions = draw(st.lists(
+        st.tuples(st.integers(0, 60),
+                  st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4), kinds),
+                           min_size=1, max_size=6)),
+        min_size=4, max_size=16,
+    ))
+    rows = [(s, item, start + dt, kind)
+            for s, (start, events) in enumerate(sessions) for item, dt, kind in events]
+    rows = draw(st.permutations(rows))
+    if str_keys:
+        return [D.Event(s if s % 2 else f"s{s}", f"i{i}", t, kind) for s, i, t, kind in rows]
+    return [D.Event(s, i, t, kind) for s, i, t, kind in rows]
+
+
+class TestPrepareOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        event_logs(),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 40),
+        st.sampled_from(["all", "train"]),
+        st.sampled_from([1.0, 0.3, 0.7]),
+        st.integers(0, 3),
+    )
+    def test_matches_plain_python_reference(self, events, min_support, min_len, holdout,
+                                            scope, fraction, fraction_seed):
+        args = dict(min_support=min_support, min_len=min_len, holdout=holdout,
+                    support_scope=scope, fraction=fraction, fraction_seed=fraction_seed)
+        clicks = [ev.timestamp for ev in events if ev.event_type == D.CLICK]
+        # A holdout as long as the click span is refused under either scope;
+        # that error has its own tests.
+        assume(scope == "all" or not clicks or holdout < max(clicks) - min(clicks))
+        try:
+            expected = reference_prepare(events, **args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                D.prepare_dataset(events, **args)
+            return
+        ds = D.prepare_dataset(events, **args)
+        train, test, id_map, frequencies = expected
+        assert [(s.session_id, s.items, s.timestamps) for s in ds.train] == train
+        assert [(s.session_id, s.items, s.timestamps) for s in ds.test] == test
+        assert ds.catalog.id_map == id_map
+        assert ds.catalog.frequencies.tolist() == frequencies
+        counted = np.bincount([i for s in ds.train for i in s.items], minlength=len(id_map))
+        np.testing.assert_array_equal(ds.catalog.frequencies, counted)
+        assert ds.manifest() == {
+            "train_sessions": len(train),
+            "train_events": sum(len(items) for _, items, _ in train),
+            "test_sessions": len(test),
+            "test_events": sum(len(items) for _, items, _ in test),
+            "n_items": len(id_map),
+        }

@@ -137,43 +137,6 @@ class TestScore:
             assert np.any(state.params["item_emb"].grad != 0)
 
 
-class TestScoreAll:
-    def test_matches_individual_scores(self):
-        rng = np.random.default_rng(33)
-        state = toy_state(n_items=5)
-        hidden = T.Tensor(rng.standard_normal((1, 2, 8)))
-        full = M.score_all(state, hidden)
-        assert full.shape == (1, 2, 5)
-        for j in range(5):
-            single = M.score(state, hidden, np.full((1, 2), j))
-            np.testing.assert_allclose(full.data[..., j], single.data, rtol=1e-15)
-
-    def test_pad_row_excluded(self):
-        state = toy_state(n_items=5)
-        hidden = T.Tensor(np.random.default_rng(0).standard_normal((1, 1, 8)))
-        assert M.score_all(state, hidden).shape[-1] == 5
-
-    def test_chunked_equals_unchunked(self):
-        rng = np.random.default_rng(34)
-        state = toy_state(n_items=11)
-        hidden = T.Tensor(rng.standard_normal((2, 3, 8)))
-        full = M.score_all(state, hidden)
-        for chunk in (1, 2, 3, 7, 11, 100):
-            np.testing.assert_array_equal(M.score_all(state, hidden, chunk_size=chunk).data, full.data)
-
-    def test_chunked_topk_equals_unchunked(self):
-        rng = np.random.default_rng(35)
-        state = toy_state(n_items=23)
-        # force score ties so tie-breaking is exercised across chunk borders
-        state.params["item_emb"].data[:23] = state.params["item_emb"].data[:23].round(1)
-        hidden = T.Tensor(rng.standard_normal((2, 4, 8)).round(1))
-        ids_full, scores_full = M.topk_items(state, hidden, k=20)
-        for chunk in (2, 5, 9, 23):
-            ids_c, scores_c = M.topk_items(state, hidden, k=20, chunk_size=chunk)
-            np.testing.assert_array_equal(ids_c, ids_full)
-            np.testing.assert_array_equal(scores_c, scores_full)
-
-
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         state = toy_state(n_items=9, d=8, layers=2, seed=7)

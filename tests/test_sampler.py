@@ -151,6 +151,7 @@ class TestInBatch:
         for items in session_items:
             distinct.update(items)
         guaranteed = len(distinct) - max(len(set(items)) for items in session_items)
+        assert S.inbatch_capacity(batch) == guaranteed
         m = pyrandom.randint(1, 4)
         if m > guaranteed:
             with pytest.raises(PoolExhaustedError):
