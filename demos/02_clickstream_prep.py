@@ -13,39 +13,40 @@ import numpy as np
 
 from sessrec import data as D
 
-workdir = Path(tempfile.mkdtemp(prefix="sessrec-demo-"))
-raw = workdir / "clicks.jsonl"
+with tempfile.TemporaryDirectory(prefix="sessrec-demo-") as tmp:
+    workdir = Path(tmp)
+    raw = workdir / "clicks.jsonl"
 
-rng = np.random.default_rng(1)
-with open(raw, "w") as fh:
-    ts = 0
-    for sid in range(200):
-        events = [
-            {"aid": int(a), "ts": ts + j, "type": "clicks"}
-            for j, a in enumerate(rng.integers(0, 40, rng.integers(2, 8)))
-        ]
-        fh.write(json.dumps({"session": sid, "events": events}) + "\n")
-        ts += 500
+    rng = np.random.default_rng(1)
+    with open(raw, "w") as fh:
+        ts = 0
+        for sid in range(200):
+            events = [
+                {"aid": int(a), "ts": ts + j, "type": "clicks"}
+                for j, a in enumerate(rng.integers(0, 40, rng.integers(2, 8)))
+            ]
+            fh.write(json.dumps({"session": sid, "events": events}) + "\n")
+            ts += 500
 
-# Lenient parsing counts malformed lines instead of failing.
-stats = D.ParseStats()
-events = list(D.parse_events(raw, strict=False, stats=stats))
-print(f"parsed {stats.events} events, skipped {stats.skipped}")
+    # Lenient parsing counts malformed lines instead of failing.
+    stats = D.ParseStats()
+    events = list(D.parse_events(raw, strict=False, stats=stats))
+    print(f"parsed {stats.events} events, skipped {stats.skipped}")
 
-# Items below the support floor and sessions below the length floor are
-# removed alternately until nothing changes; then the trailing window
-# becomes the test split and the catalog is built from train only.
-dataset = D.prepare_dataset(events, min_support=5, min_len=2, holdout=20_000)
-print("manifest:", dataset.manifest())
+    # Items below the support floor and sessions below the length floor are
+    # removed alternately until nothing changes; then the trailing window
+    # becomes the test split and the catalog is built from train only.
+    dataset = D.prepare_dataset(events, min_support=5, min_len=2, holdout=20_000)
+    print("manifest:", dataset.manifest())
 
-D.save_prepared(dataset, workdir / "prepared")
-# Loading checks offsets, id range, frequencies and catalog size.
-reloaded = D.load_prepared(workdir / "prepared")
-print("cache round-trip OK:", reloaded.manifest() == dataset.manifest())
+    D.save_prepared(dataset, workdir / "prepared")
+    # Loading checks offsets, id range, frequencies and catalog size.
+    reloaded = D.load_prepared(workdir / "prepared")
+    print("cache round-trip OK:", reloaded.manifest() == dataset.manifest())
 
-# Batches carry whole sessions: ids, next-item targets, and a validity mask.
-batch = next(D.make_batches(reloaded.train, batch_size=4, max_len=6,
-                            pad_id=reloaded.catalog.n_items))
-print("ids:     ", batch.item_ids[0])
-print("targets: ", batch.targets[0])
-print("mask:    ", batch.mask[0].astype(int))
+    # Batches carry whole sessions: ids, next-item targets, and a validity mask.
+    batch = next(D.make_batches(reloaded.train, batch_size=4, max_len=6,
+                                pad_id=reloaded.catalog.n_items))
+    print("ids:     ", batch.item_ids[0])
+    print("targets: ", batch.targets[0])
+    print("mask:    ", batch.mask[0].astype(int))

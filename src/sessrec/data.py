@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -350,8 +352,29 @@ def columns_to_sessions(
     ]
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temp file beside `path` for writing; move it over `path` on success.
+
+    Readers see the previous file or the complete new one, never a torn
+    write. If the block raises, the temp file is removed and `path` is left
+    as it was. (No fsync: this guards against the writer failing, not
+    against power loss.)
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_prepared(dataset: PreparedDataset, out_dir) -> None:
-    """Columnar cache (.npz) plus a plain-text manifest with the count summary."""
+    """Columnar cache (.npz), the catalog's raw keys in dense-id order, and a
+    plain-text manifest with the count summary; each file is written atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -364,16 +387,17 @@ def save_prepared(dataset: PreparedDataset, out_dir) -> None:
 
     tr = pack(dataset.train)
     te = pack(dataset.test)
-    with open(out / "data.npz", "wb") as fh:
+    with atomic_write(out / "data.npz") as fh:
         np.savez(
             fh,
             train_items=tr[0], train_ts=tr[1], train_offsets=tr[2], train_sids=tr[3],
             test_items=te[0], test_ts=te[1], test_offsets=te[2], test_sids=te[3],
             frequencies=dataset.catalog.frequencies,
         )
-    with open(out / "catalog.json", "w", encoding="utf-8") as fh:
-        json.dump({str(k): v for k, v in dataset.catalog.id_map.items()}, fh)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    keys = sorted(dataset.catalog.id_map, key=dataset.catalog.id_map.__getitem__)
+    with atomic_write(out / "catalog.json", "w") as fh:
+        json.dump(keys, fh)
+    with atomic_write(out / "manifest.json", "w") as fh:
         json.dump(dataset.manifest(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -384,7 +408,19 @@ def load_prepared(in_dir) -> PreparedDataset:
     with np.load(path / "data.npz", allow_pickle=False) as blob:
         arrays = {key: blob[key] for key in blob.files}
     with open(path / "catalog.json", "r", encoding="utf-8") as fh:
-        id_map = {k: int(v) for k, v in json.load(fh).items()}
+        keys = json.load(fh)
+    if not isinstance(keys, list):
+        raise CacheError(
+            "catalog.json is not a list of raw item keys (a cache from an older "
+            "version?); re-run `sessrec prep`"
+        )
+    try:
+        id_map = {key: dense for dense, key in enumerate(keys)}
+    except TypeError as exc:
+        raise CacheError(f"catalog.json holds a key that is not a raw item id ({exc})") from None
+    if len(id_map) != len(keys):
+        repeated = next(key for dense, key in enumerate(keys) if id_map[key] != dense)
+        raise CacheError(f"catalog.json repeats raw item key {repeated!r}")
     frequencies = arrays["frequencies"]
     n_items = len(frequencies)
     if len(id_map) != n_items:

@@ -5,12 +5,14 @@ recipe: learned additive positional embeddings, post-norm residual blocks
 (pre-norm available behind a flag), single attention head by default, and a
 two-layer pointwise feed-forward with ReLU. The representation at position t
 predicts the item at t+1; scores are dot products against the shared item
-embedding table, whose last row is reserved for padding.
+embedding table, whose last row is reserved for padding. Negatives are scored
+at their sampling granularity: a batchwise pool is one [b*W, d] x [d, n]
+product shared by the whole batch, and a mix of sources is scored source by
+source, so the pool is never expanded per session.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import SessionBatch
+from .data import SessionBatch, atomic_write
 from .errors import ConfigError, ItemIdError, ShapeError
 from .sampler import NegativeSet, rng_stream
 from .tensor import Tensor
@@ -194,24 +196,34 @@ def score(state: ModelState, hidden: Tensor, item_ids) -> Tensor:
     """Dot-product scores against tied embedding rows.
 
     A [b, W] id array (targets) yields [b, W] scores; a NegativeSet or 3-d id
-    array broadcasts by granularity and yields [b, W, K].
+    array broadcasts by granularity and yields [b, W, K]. A NegativeSet with
+    `parts` is scored part by part, each at its own granularity, and the
+    scores are joined along the sample axis.
     """
+    if isinstance(item_ids, NegativeSet) and item_ids.parts:
+        return T.concat([_score_negatives(state, hidden, p.ids) for p in item_ids.parts])
     ids = item_ids.ids if isinstance(item_ids, NegativeSet) else np.asarray(item_ids)
-    emb = state.params["item_emb"]
-    b, width, d = hidden.shape
-
     if ids.ndim == 2:
+        b, width, _ = hidden.shape
         if ids.shape != (b, width):
             raise ShapeError(f"target ids {ids.shape} do not match hidden {hidden.shape}")
-        rows = T.gather_rows(emb, ids)
+        rows = T.gather_rows(state.params["item_emb"], ids)
         return T.tsum(T.mul(hidden, rows), axis=-1)
+    return _score_negatives(state, hidden, ids)
 
+
+def _score_negatives(state: ModelState, hidden: Tensor, ids: np.ndarray) -> Tensor:
+    """[b, W, K] scores of 3-d negative ids, one contraction per granularity."""
+    emb = state.params["item_emb"]
+    b, width, d = hidden.shape
     if ids.ndim != 3:
         raise ShapeError(f"item ids must be 2-d or 3-d, got shape {ids.shape}")
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
+        # one [b*W, d] x [d, k] product: its backward needs no [b, d, k] temporary
         rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
-        return T.matmul(hidden, T.transpose(rows, (1, 0)))
+        flat = T.matmul(T.reshape(hidden, (b * width, d)), T.transpose(rows, (1, 0)))
+        return T.reshape(flat, (b, width, k))
     if gt == 1:
         if gb != b:
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
@@ -229,7 +241,8 @@ def score(state: ModelState, hidden: Tensor, item_ids) -> Tensor:
 
 
 def save_checkpoint(state: ModelState, path, extra: dict[str, np.ndarray] | None = None) -> None:
-    """Versioned binary blob: config header plus named parameter table."""
+    """Versioned binary blob: config header plus named parameter table, written
+    atomically so a failed save leaves the previous file intact."""
     payload = {name: p.data for name, p in state.params.items()}
     if extra:
         overlap = set(payload) & set(extra)
@@ -240,9 +253,8 @@ def save_checkpoint(state: ModelState, path, extra: dict[str, np.ndarray] | None
         {"format": CHECKPOINT_FORMAT, "config": asdict(state.config),
          "params": sorted(p for p in state.params)}
     )
-    buf = io.BytesIO()
-    np.savez(buf, __header__=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), **payload)
-    Path(path).write_bytes(buf.getvalue())
+    with atomic_write(path) as fh:
+        np.savez(fh, __header__=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), **payload)
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:

@@ -7,6 +7,12 @@ tensor shape carrying it:
     sessionwise   one set per session               ids shaped [b, 1, n]
     batchwise     one set per batch                 ids shaped [1, 1, n]
 
+Sources are concatenated along the sample axis. A mix of shapes (say
+in-batch [b, 1, m] plus a batchwise pool [1, 1, n]) keeps its sources as
+parts, and the model scores each part at its own granularity, so the pool
+is one matrix multiply shared by the whole batch and never a per-session
+copy.
+
 Uniform and frequency samplers deliberately do NOT exclude a session's own
 items (false negatives are rare on large catalogs and exclusion is what makes
 sampling expensive); only in-batch sampling excludes, since its candidates are
@@ -89,13 +95,18 @@ class CountingGenerator:
 
 @dataclass
 class NegativeSet:
-    """Sampled negative ids with a declared granularity shape."""
+    """Sampled negative ids with a declared granularity shape.
+
+    `parts` holds the sources of a mixed-shape set in sample-axis order;
+    `ids` is their concatenation broadcast to the finest shape.
+    """
 
     ids: np.ndarray
     granularity: Granularity
     n_uniform: int = 0
     n_frequency: int = 0
     n_inbatch: int = 0
+    parts: tuple["NegativeSet", ...] = ()
 
     def __post_init__(self):
         if self.ids.ndim != 3:
@@ -268,11 +279,29 @@ _FINENESS = {Granularity.BATCHWISE: 0, Granularity.SESSIONWISE: 1, Granularity.E
 
 
 def concat_negatives(first: NegativeSet, second: NegativeSet) -> NegativeSet:
-    """Concatenate two negative sets along the sample axis after broadcasting."""
+    """Concatenate two negative sets along the sample axis after broadcasting.
+
+    Adjacent sources of one shape merge into one part; more than one part
+    is kept in `parts`, so the model can score each at its own granularity.
+    """
     if first.count == 0:
         return second
     if second.count == 0:
         return first
+    joined = _stack(first, second)
+    parts = list(first.parts or (first,))
+    for part in second.parts or (second,):
+        if parts[-1].ids.shape[:2] == part.ids.shape[:2]:
+            parts[-1] = _stack(parts[-1], part)
+        else:
+            parts.append(part)
+    if len(parts) > 1:
+        joined.parts = tuple(parts)
+    return joined
+
+
+def _stack(first: NegativeSet, second: NegativeSet) -> NegativeSet:
+    """Broadcast both id arrays to a common lead shape and join their sample axes."""
     lead = []
     for axis in (0, 1):
         a, b = first.ids.shape[axis], second.ids.shape[axis]

@@ -2,9 +2,9 @@
 
 Deliberately small: only the operations needed by a causal self-attention
 recommender are provided (matrix multiply, elementwise arithmetic with NumPy
-broadcasting, softmax, layer norm, embedding gather, masked dropout, pointwise
-nonlinearities, reductions). The reference numeric type is float64 so that
-finite-difference gradient checks are meaningful.
+broadcasting, softmax, layer norm, embedding gather, concatenation, masked
+dropout, pointwise nonlinearities, reductions). The reference numeric type is
+float64 so that finite-difference gradient checks are meaningful.
 """
 
 from __future__ import annotations
@@ -413,22 +413,33 @@ def gather_rows(table, ids) -> Tensor:
 
 
 def take_along_last(a, indices) -> Tensor:
-    """Gather along the last axis; non-selected positions get zero gradient."""
+    """Gather along the last axis; non-selected positions get zero gradient.
+
+    The indices within each row must be distinct (as top-k selections are):
+    backward writes each gradient into its slot instead of accumulating.
+    """
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = np.take_along_axis(a.data, idx, axis=-1)
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        rows = np.arange(int(np.prod(a.shape[:-1]))).reshape(-1, 1)
-        np.add.at(
-            ga.reshape(-1, a.shape[-1]),
-            (rows, idx.reshape(rows.shape[0], -1)),
-            g.reshape(rows.shape[0], -1),
-        )
+        np.put_along_axis(ga, idx, g, axis=-1)
         return (ga,)
 
     return _wire(out, (a,), backward)
+
+
+def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along `axis`; backward splits the gradient back apart."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        return np.split(g, bounds, axis=axis)
+
+    return _wire(out, tensors, backward)
 
 
 def where_mask(mask, a, fill: float = 0.0) -> Tensor:

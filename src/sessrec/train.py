@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as C
 from . import model as M
-from .data import PreparedDataset, make_batches
+from .data import PreparedDataset, atomic_write, make_batches
 from .errors import DivergenceError
 from .loss import get_loss
 from .model import ModelConfig, ModelState
@@ -130,7 +130,7 @@ class TrainReport:
         return {"epochs": [e.to_dict() for e in self.epochs]}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
@@ -286,7 +286,7 @@ def train(
                 )
             except DivergenceError as err:
                 if out is not None:
-                    with open(out / "divergence.json", "w", encoding="utf-8") as fh:
+                    with atomic_write(out / "divergence.json", "w") as fh:
                         json.dump(err.snapshot, fh, indent=2)
                 raise
             loss_sum += value * positions

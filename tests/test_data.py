@@ -245,14 +245,14 @@ class TestBatches:
         assert rebuilt == expected
 
 
-def cache_events():
+def cache_events(key=lambda x: f"item{x}"):
     rng = np.random.default_rng(23)
     sessions = []
     ts = 0
     for i in range(40):
         n = int(rng.integers(2, 6))
         items = [int(x) for x in rng.integers(0, 10, n)]
-        sessions.append([D.Event(i, f"item{x}", ts + j) for j, x in enumerate(items)])
+        sessions.append([D.Event(i, key(x), ts + j) for j, x in enumerate(items)])
         ts += 100
     return [e for s in sessions for e in s]
 
@@ -260,14 +260,19 @@ def cache_events():
 class TestPreparedCache:
 
     def test_save_load_round_trip(self, tmp_path):
-        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
-        D.save_prepared(ds, tmp_path)
-        loaded = D.load_prepared(tmp_path)
-        assert loaded.manifest() == ds.manifest()
-        assert [s.items for s in loaded.train] == [s.items for s in ds.train]
-        assert [s.items for s in loaded.test] == [s.items for s in ds.test]
-        np.testing.assert_array_equal(loaded.catalog.frequencies, ds.catalog.frequencies)
-        assert loaded.catalog.id_map == {str(k): v for k, v in ds.catalog.id_map.items()}
+        for keys, key in (("str", lambda x: f"item{x}"), ("int", int), ("mixed", int)):
+            ds = D.prepare_dataset(cache_events(key), min_support=2, min_len=2, holdout=500)
+            if keys == "mixed":  # raw ids 5 and "5" must stay distinct keys
+                id_map = {(k if k % 2 else str(k)): v for k, v in ds.catalog.id_map.items()}
+                id_map["5"] = id_map.pop("4")
+                ds.catalog.id_map = id_map
+            D.save_prepared(ds, tmp_path / keys)
+            loaded = D.load_prepared(tmp_path / keys)
+            assert loaded.manifest() == ds.manifest()
+            assert [s.items for s in loaded.train] == [s.items for s in ds.train]
+            assert [s.items for s in loaded.test] == [s.items for s in ds.test]
+            np.testing.assert_array_equal(loaded.catalog.frequencies, ds.catalog.frequencies)
+            assert loaded.catalog.id_map == ds.catalog.id_map
 
     def test_manifest_counts(self, tmp_path):
         ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
@@ -348,10 +353,30 @@ class TestCacheValidation:
 
     def test_catalog_size_disagrees(self, tmp_path):
         self._corrupt(tmp_path)
-        id_map = json.loads((tmp_path / "catalog.json").read_text())
-        id_map.pop(next(iter(id_map)))
-        (tmp_path / "catalog.json").write_text(json.dumps(id_map))
+        keys = json.loads((tmp_path / "catalog.json").read_text())
+        (tmp_path / "catalog.json").write_text(json.dumps(keys[1:]))
         with pytest.raises(CacheError, match="catalog.json holds"):
+            D.load_prepared(tmp_path)
+
+    def test_catalog_repeats_a_key(self, tmp_path):
+        self._corrupt(tmp_path)
+        keys = json.loads((tmp_path / "catalog.json").read_text())
+        (tmp_path / "catalog.json").write_text(json.dumps(keys[:-1] + keys[:1]))
+        with pytest.raises(CacheError, match=f"catalog.json repeats raw item key '{keys[0]}'"):
+            D.load_prepared(tmp_path)
+
+    def test_catalog_key_not_hashable(self, tmp_path):
+        self._corrupt(tmp_path)
+        keys = json.loads((tmp_path / "catalog.json").read_text())
+        (tmp_path / "catalog.json").write_text(json.dumps([[k] for k in keys]))
+        with pytest.raises(CacheError, match="catalog.json holds a key that is not a raw item id"):
+            D.load_prepared(tmp_path)
+
+    def test_catalog_in_old_mapping_format(self, tmp_path):
+        self._corrupt(tmp_path)
+        keys = json.loads((tmp_path / "catalog.json").read_text())
+        (tmp_path / "catalog.json").write_text(json.dumps({k: i for i, k in enumerate(keys)}))
+        with pytest.raises(CacheError, match="catalog.json .*re-run `sessrec prep`"):
             D.load_prepared(tmp_path)
 
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessrec import loss as L
 from sessrec import model as M
+from sessrec import sampler as S
 from sessrec import tensor as T
 from sessrec.data import Session, make_batches
 from sessrec.errors import ItemIdError
@@ -137,6 +140,67 @@ class TestScore:
             assert np.any(state.params["item_emb"].grad != 0)
 
 
+class TestScoreByParts:
+    """Scoring a mixed set part by part matches scoring its broadcast ids.
+
+    Embeddings and hidden states are multiples of 1/4 with d=4, so every
+    score is exact whatever the summation order: the two paths give equal
+    scores, and top-k selections (ties included) must be identical.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sources=st.lists(st.sampled_from(["uniform", "frequency", "inbatch"]),
+                         min_size=1, max_size=3, unique=True),
+        uniform_gran=st.sampled_from(list(Granularity)),
+        frequency_gran=st.sampled_from(list(Granularity)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_parts_match_broadcast_ids(self, sources, uniform_gran, frequency_gran, seed, data):
+        rng = np.random.default_rng(seed)
+        n_items, d = 16, 4
+        state = toy_state(n_items=n_items, d=d)
+        emb = state.params["item_emb"]
+        emb.data = rng.integers(-4, 5, size=emb.shape) / 4.0
+        batch = batch_from([[0, 1, 2, 3], [4, 5], [6, 7, 8]], max_len=4, pad_id=n_items)
+        hidden = T.Tensor(rng.integers(-4, 5, size=(*batch.item_ids.shape, d)) / 4.0,
+                          requires_grad=True)
+
+        shape = {"batch_size": batch.size, "seq_len": batch.width}
+        draw = {
+            "uniform": lambda n: S.sample_uniform(n_items, uniform_gran, n, rng, **shape),
+            "frequency": lambda n: S.sample_frequency(
+                np.arange(1, n_items + 1), frequency_gran, n, rng, **shape),
+            "inbatch": lambda n: S.sample_inbatch(batch, min(n, S.inbatch_capacity(batch)), rng),
+        }
+        combined = draw[sources[0]](data.draw(st.integers(1, 5)))
+        for source in sources[1:]:
+            combined = S.concat_negatives(combined, draw[source](data.draw(st.integers(1, 5))))
+        k = data.draw(st.integers(0, combined.count - 1))
+
+        def run(negatives):
+            state.zero_grad()
+            hidden.zero_grad()
+            pos = M.score(state, hidden, batch.targets)
+            neg = M.score(state, hidden, negatives)
+            selected = None
+            if k > 0:
+                selection = S.topk_filter(neg, k)
+                neg, selected = selection.scores, selection.indices
+            loss = L.ssm(pos, neg, mask=batch.mask)
+            loss.backward()
+            return loss.item(), selected, emb.grad.copy(), hidden.grad.copy()
+
+        by_parts = run(combined)
+        by_ids = run(NegativeSet(combined.ids, combined.granularity))
+        assert abs(by_parts[0] - by_ids[0]) <= 1e-10
+        if k > 0:
+            np.testing.assert_array_equal(by_parts[1], by_ids[1])
+        for got, want in zip(by_parts[2:], by_ids[2:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         state = toy_state(n_items=9, d=8, layers=2, seed=7)
@@ -149,6 +213,25 @@ class TestCheckpoint:
         for name, p in state.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, p.data)
         np.testing.assert_array_equal(got_extra["adam.m.item_emb"], extra["adam.m.item_emb"])
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("injected failure")
+
+        state = toy_state(seed=1)
+        path = tmp_path / "epoch-1.bin"
+        M.save_checkpoint(state, path)
+        saved = {name: p.data.copy() for name, p in state.params.items()}
+        for p in state.params.values():
+            p.data = p.data + 1.0
+        # the parameters are written first, then the extra array fails mid-file
+        with pytest.raises(RuntimeError, match="injected failure"):
+            M.save_checkpoint(state, path, {"zz": np.array([Unpicklable()], dtype=object)})
+        loaded, _ = M.load_checkpoint(path)
+        for name, data in saved.items():
+            np.testing.assert_array_equal(loaded.params[name].data, data)
+        assert [f.name for f in tmp_path.iterdir()] == ["epoch-1.bin"]
 
     def test_name_collision_rejected(self, tmp_path):
         state = toy_state()

@@ -202,6 +202,21 @@ class TestConcat:
         np.testing.assert_array_equal(out.ids[:, :, :2], 1)
         np.testing.assert_array_equal(out.ids[:, :, 2:], 0)
 
+    def test_parts_follow_source_shapes(self):
+        def ids(shape, value):
+            return S.NegativeSet(np.full(shape, value, dtype=np.int64), Granularity.SESSIONWISE)
+
+        inbatch, pool, other = ids((3, 1, 2), 1), ids((1, 1, 4), 2), ids((3, 1, 1), 3)
+        assert S.concat_negatives(inbatch, other).parts == ()
+        mixed = S.concat_negatives(S.concat_negatives(inbatch, pool), other)
+        assert [p.ids.shape for p in mixed.parts] == [(3, 1, 2), (1, 1, 4), (3, 1, 1)]
+        merged = S.concat_negatives(S.concat_negatives(pool, inbatch), other)
+        assert [p.ids.shape for p in merged.parts] == [(1, 1, 4), (3, 1, 3)]
+        np.testing.assert_array_equal(
+            np.concatenate([np.broadcast_to(p.ids, (3, 1, p.count)) for p in merged.parts], -1),
+            merged.ids,
+        )
+
     def test_empty_is_identity(self):
         empty = S.NegativeSet(np.empty((1, 1, 0), dtype=np.int64), Granularity.BATCHWISE)
         full = S.NegativeSet(np.ones((2, 1, 3), dtype=np.int64), Granularity.SESSIONWISE, n_uniform=3)
