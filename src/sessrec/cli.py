@@ -147,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     C.save_config(config, out / "resolved-config.json")
-    with open(out / "eval.json", "w", encoding="utf-8") as fh:
+    with D.atomic_write(out / "eval.json", "w") as fh:
         json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
     log(f"recall@{result.k}={result.recall_at_k:.4f} mrr@{result.k}={result.mrr_at_k:.4f} "
@@ -173,7 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         },
         "rows": rows,
     }
-    with open(out / "bench.json", "w", encoding="utf-8") as fh:
+    with D.atomic_write(out / "bench.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     log(f"{'granularity':>12} {'draws/batch':>12} {'samples/sec':>14}")

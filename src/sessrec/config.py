@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .data import atomic_write
 from .errors import ConfigError
 
 
@@ -224,6 +225,6 @@ def load_config(path) -> dict:
 def save_config(config: dict, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")

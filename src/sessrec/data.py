@@ -259,8 +259,9 @@ def prepare_dataset(
     the training portion only ("train"). Sessions ending in the trailing
     `holdout` window form the test set. `fraction` keeps a seeded random
     subset of train sessions. The catalog (dense ids in sorted raw-key
-    order, frequencies) comes from the kept train events; test items
-    unknown to it are dropped and the length floor is re-applied.
+    order, int keys before str keys; frequencies) comes from the kept train
+    events; test items unknown to it are dropped and the length floor is
+    re-applied.
     """
     if support_scope not in ("all", "train"):
         raise ValueError(f"support_scope must be 'all' or 'train', got {support_scope!r}")
@@ -302,7 +303,8 @@ def prepare_dataset(
     # the one restrict step: catalog from train, test limited to it
     counts = np.bincount(item[train], minlength=len(item_keys))
     raw_items = list(item_keys)
-    known = sorted(np.flatnonzero(counts).tolist(), key=raw_items.__getitem__)
+    known = sorted(np.flatnonzero(counts).tolist(),  # ints first, then strs, each sorted
+                   key=lambda c: (isinstance(raw_items[c], str), raw_items[c]))
     dense = np.full(len(raw_items), -1, dtype=np.int64)
     dense[known] = np.arange(len(known))
     test &= dense[item] >= 0
@@ -358,13 +360,15 @@ def atomic_write(path, mode: str = "wb"):
 
     Readers see the previous file or the complete new one, never a torn
     write. If the block raises, the temp file is removed and `path` is left
-    as it was. (No fsync: this guards against the writer failing, not
-    against power loss.)
+    as it was. Text mode does no newline translation. (No fsync: this
+    guards against the writer failing, not against power loss.)
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        text = "b" not in mode
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -373,8 +377,9 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def save_prepared(dataset: PreparedDataset, out_dir) -> None:
-    """Columnar cache (.npz), the catalog's raw keys in dense-id order, and a
-    plain-text manifest with the count summary; each file is written atomically."""
+    """Columnar cache (.npz, session ids as JSON texts), the catalog's raw keys
+    in dense-id order, and a plain-text manifest with the count summary; each
+    file is written atomically. Raw ids keep their JSON types."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -382,7 +387,9 @@ def save_prepared(dataset: PreparedDataset, out_dir) -> None:
         items = np.concatenate([np.asarray(s.items, dtype=np.int64) for s in sessions])
         ts = np.concatenate([np.asarray(s.timestamps, dtype=np.int64) for s in sessions])
         offsets = np.cumsum([0] + [len(s) for s in sessions]).astype(np.int64)
-        sids = np.array([str(s.session_id) for s in sessions])
+        # each raw id's JSON text; for an int that is str(), which is faster
+        sids = np.array([str(sid) if type(sid) is int else json.dumps(sid)
+                         for sid in (s.session_id for s in sessions)])
         return items, ts, offsets, sids
 
     tr = pack(dataset.train)
@@ -440,7 +447,27 @@ def load_prepared(in_dir) -> PreparedDataset:
         bad = (items < 0) | (items >= n_items)
         if bad.any():
             raise CacheError(f"{prefix}_items holds id {int(items[bad][0])} outside [0, {n_items})")
-        splits.append(columns_to_sessions(sids.tolist(), items, ts, offsets))
+        splits.append(columns_to_sessions(_session_ids(sids.tolist(), f"{prefix}_sids"),
+                                          items, ts, offsets))
     if not np.array_equal(frequencies, np.bincount(arrays["train_items"], minlength=n_items)):
         raise CacheError("frequencies differ from np.bincount(train_items)")
     return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))
+
+
+def _session_ids(texts: list[str], name: str) -> list:
+    """Decode the JSON texts of raw session ids; CacheError names a bad entry."""
+    try:
+        ids = json.loads(f"[{','.join(texts)}]")
+        if len(ids) == len(texts):
+            return ids
+    except ValueError:
+        pass
+    for i, text in enumerate(texts):
+        try:
+            json.loads(text)
+        except ValueError:
+            break
+    raise CacheError(
+        f"data.npz {name}[{i}] is {text!r}, not the JSON text of a raw session id "
+        "(a cache from an older version?); re-run `sessrec prep`"
+    )

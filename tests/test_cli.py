@@ -147,6 +147,26 @@ class TestEvalVerb:
         assert result["k"] == 5
         assert 0.0 <= result["mrr_at_k"] <= result["recall_at_k"] <= 1.0
 
+    def test_failed_write_keeps_previous_eval_json_and_metrics(self, tmp_path, prepared,
+                                                               monkeypatch):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", "--eval-every", "1", *TRAIN_ARGS]) == 0
+        args = ["eval", "--input", str(prepared), "--checkpoint",
+                str(run / "ckpt" / "epoch-1.bin"), "--output-dir", str(run)]
+        assert main(args) == 0
+        before = {name: (run / name).read_bytes() for name in ("eval.json", "metrics.csv")}
+        # json.dump writes the first keys before it reaches the unserialisable value
+        monkeypatch.setattr(E.EvalResult, "to_dict", lambda self: {"k": 1, "bad": object()})
+        with pytest.raises(TypeError):
+            main(args)
+        series = E.parse_metrics(run / "metrics.csv")
+        series.append({"epoch": 2})  # the writer fails after the first row
+        with pytest.raises(KeyError):
+            E.export_metrics(series, run / "metrics.csv")
+        assert {name: (run / name).read_bytes() for name in before} == before
+        assert not [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
+
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),

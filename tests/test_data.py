@@ -245,14 +245,14 @@ class TestBatches:
         assert rebuilt == expected
 
 
-def cache_events(key=lambda x: f"item{x}"):
+def cache_events(key=lambda x: f"item{x}", session_key=int):
     rng = np.random.default_rng(23)
     sessions = []
     ts = 0
     for i in range(40):
         n = int(rng.integers(2, 6))
         items = [int(x) for x in rng.integers(0, 10, n)]
-        sessions.append([D.Event(i, key(x), ts + j) for j, x in enumerate(items)])
+        sessions.append([D.Event(session_key(i), key(x), ts + j) for j, x in enumerate(items)])
         ts += 100
     return [e for s in sessions for e in s]
 
@@ -260,19 +260,33 @@ def cache_events(key=lambda x: f"item{x}"):
 class TestPreparedCache:
 
     def test_save_load_round_trip(self, tmp_path):
-        for keys, key in (("str", lambda x: f"item{x}"), ("int", int), ("mixed", int)):
-            ds = D.prepare_dataset(cache_events(key), min_support=2, min_len=2, holdout=500)
-            if keys == "mixed":  # raw ids 5 and "5" must stay distinct keys
-                id_map = {(k if k % 2 else str(k)): v for k, v in ds.catalog.id_map.items()}
-                id_map["5"] = id_map.pop("4")
-                ds.catalog.id_map = id_map
+        def mixed(x):  # raw item ids 5 and "5" must stay distinct keys
+            return "5" if x == 4 else (x if x % 2 else str(x))
+
+        for keys, key, session_key in (
+            ("str", lambda x: f"item{x}", lambda i: f"s{i}"),
+            ("int", int, int),
+            ("mixed", mixed, lambda i: i if i % 3 else f"{i}"),
+        ):
+            ds = D.prepare_dataset(cache_events(key, session_key), min_support=2, min_len=2,
+                                   holdout=500)
             D.save_prepared(ds, tmp_path / keys)
             loaded = D.load_prepared(tmp_path / keys)
             assert loaded.manifest() == ds.manifest()
-            assert [s.items for s in loaded.train] == [s.items for s in ds.train]
-            assert [s.items for s in loaded.test] == [s.items for s in ds.test]
+            for split in ("train", "test"):
+                before, after = getattr(ds, split), getattr(loaded, split)
+                assert [s.items for s in after] == [s.items for s in before]
+                assert ([(type(s.session_id), s.session_id) for s in after]
+                        == [(type(s.session_id), s.session_id) for s in before])
             np.testing.assert_array_equal(loaded.catalog.frequencies, ds.catalog.frequencies)
             assert loaded.catalog.id_map == ds.catalog.id_map
+            if keys == "mixed":
+                assert {5, "5"} <= set(ds.catalog.id_map)
+                # ints first, then strs, each sorted
+                order = sorted(ds.catalog.id_map, key=ds.catalog.id_map.__getitem__)
+                ints = [k for k in order if isinstance(k, int)]
+                assert order == sorted(ints) + sorted(k for k in order if isinstance(k, str))
+                assert {type(s.session_id) for s in ds.train + ds.test} == {int, str}
 
     def test_manifest_counts(self, tmp_path):
         ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
@@ -372,6 +386,12 @@ class TestCacheValidation:
         with pytest.raises(CacheError, match="catalog.json holds a key that is not a raw item id"):
             D.load_prepared(tmp_path)
 
+    def test_session_id_not_json(self, tmp_path):
+        self._corrupt(tmp_path, train_sids=lambda sids: np.where(np.arange(len(sids)) == 3,
+                                                                 "s3", sids))
+        with pytest.raises(CacheError, match=r"data.npz train_sids\[3\] is 's3'"):
+            D.load_prepared(tmp_path)
+
     def test_catalog_in_old_mapping_format(self, tmp_path):
         self._corrupt(tmp_path)
         keys = json.loads((tmp_path / "catalog.json").read_text())
@@ -426,8 +446,10 @@ def reference_prepare(events, min_support, min_len, holdout, support_scope, frac
         train = [train[i] for i in sorted(keep[: max(1, int(round(fraction * len(train))))])]
 
     counts = Counter(i for _, items, _ in train for i in items)
-    id_map = {key: dense for dense, key in enumerate(sorted(counts))}
-    frequencies = [counts[key] for key in sorted(counts)]
+    keys = sorted(k for k in counts if isinstance(k, int))
+    keys += sorted(k for k in counts if isinstance(k, str))
+    id_map = {key: dense for dense, key in enumerate(keys)}
+    frequencies = [counts[key] for key in keys]
     train = [(sid, [id_map[i] for i in items], ts) for sid, items, ts in train]
     restricted = []
     for sid, items, ts in test:
@@ -443,10 +465,11 @@ def reference_prepare(events, min_support, min_len, holdout, support_scope, frac
 def event_logs(draw):
     """Sessions of nearby events, shuffled together; cart/order events mixed in.
 
-    String mode mixes int and str session ids, so session ids are not
-    sortable, and its item keys sort lexically.
+    String and mixed modes mix int and str session ids, so session ids are
+    not sortable. String-mode item keys sort lexically; mixed-mode item keys
+    are ints and strs.
     """
-    str_keys = draw(st.booleans())
+    mode = draw(st.sampled_from(["int", "str", "mixed"]))
     kinds = st.sampled_from([D.CLICK, D.CLICK, D.CLICK, D.CART, D.ORDER])
     sessions = draw(st.lists(
         st.tuples(st.integers(0, 60),
@@ -457,8 +480,11 @@ def event_logs(draw):
     rows = [(s, item, start + dt, kind)
             for s, (start, events) in enumerate(sessions) for item, dt, kind in events]
     rows = draw(st.permutations(rows))
-    if str_keys:
+    if mode == "str":
         return [D.Event(s if s % 2 else f"s{s}", f"i{i}", t, kind) for s, i, t, kind in rows]
+    if mode == "mixed":
+        return [D.Event(s if s % 2 else f"s{s}", i if i % 2 else str(i), t, kind)
+                for s, i, t, kind in rows]
     return [D.Event(s, i, t, kind) for s, i, t, kind in rows]
 
 

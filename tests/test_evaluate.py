@@ -1,11 +1,17 @@
 """Exhaustive-ranking metrics against an independent brute-force oracle."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessrec import evaluate as E
 from sessrec import model as M
-from sessrec.data import Session
+from sessrec.data import Session, make_batches
 from sessrec.errors import EmptyDatasetError
 from sessrec.model import ModelConfig, ModelState
 from sessrec.tensor import no_grad
@@ -31,8 +37,6 @@ def brute_force_eval(state, sessions, k):
     cfg = state.config
     emb = state.params["item_emb"].data[: cfg.n_items]
     hits, rrs, count = 0.0, 0.0, 0
-    from sessrec.data import make_batches
-
     for s in sessions:
         items = s.items[-cfg.max_len :]
         for t in range(len(items) - 1):
@@ -53,6 +57,111 @@ def brute_force_eval(state, sessions, k):
                 hits += 1.0
                 rrs += 1.0 / rank
     return hits / count, rrs / count, count
+
+
+def einsum_reference_ranks(state, batch, chunk_size=None):
+    """The former non-BLAS ranker: every [b, W] slot against every catalog chunk."""
+    n = state.config.n_items
+    emb = state.params["item_emb"].data[:n]
+    if chunk_size is None or chunk_size <= 0 or chunk_size > n:
+        chunk_size = n
+    with no_grad():
+        hidden = M.forward(state, batch, mode="eval").data
+    safe_targets = np.where(batch.mask, batch.targets, 0)
+    target_scores = np.einsum("bwd,bwd->bw", hidden, emb[safe_targets], optimize=False)
+    count_ge = np.zeros(target_scores.shape, dtype=np.int64)
+    for lo in range(0, n, chunk_size):
+        block = np.einsum("bwd,vd->bwv", hidden, emb[lo : lo + chunk_size], optimize=False)
+        count_ge += (block >= target_scores[..., None]).sum(axis=-1)
+    return count_ge
+
+
+def transition_ranks(state, sessions, batch_size=256, chunk_size=None):
+    return {(sid, t): rank for sid, t, rank in
+            E.iter_transition_ranks(state, sessions, batch_size, chunk_size)}
+
+
+R, C = E.TILE_ROWS, E.TILE_COLS
+CHUNKS = (None, 1, C + 1, 2 * C - 1, 10**6)
+
+
+class TestTiledRanks:
+    """The fixed-tile BLAS ranker against brute force and the einsum reference."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 3 * C), st.integers(1, 40), st.integers(0, 2**16))
+    def test_invariant_to_batch_size_chunk_size_and_order(self, n_items, n_sessions, seed):
+        state = toy_state(n_items, d=6, seed=seed)
+        sessions = toy_sessions(n_items, n_sessions, seed=seed, length=(2, 11))
+        base = transition_ranks(state, sessions)
+        shuffled = [sessions[i] for i in np.random.default_rng(seed).permutation(n_sessions)]
+        for batch_size in (1, 7, 256):
+            assert transition_ranks(state, shuffled, batch_size) == base
+        for chunk in CHUNKS:
+            assert transition_ranks(state, sessions, 9, chunk) == base
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3 * C),
+        st.sampled_from([1, R, R + 1, 2 * R + 5]),
+        st.integers(1, 9),
+        st.sampled_from(["random", "constant", "zero-hidden", "duplicates"]),
+        st.sampled_from(CHUNKS),
+        st.integers(0, 2**16),
+    )
+    def test_rows_match_brute_force_count(self, n, m, d, kind, chunk, seed):
+        # small-integer embeddings and states: every score is exact in any
+        # summation order, so ties are real ties for both sides
+        rng = np.random.default_rng(seed)
+        emb = rng.integers(-3, 4, (n, d)).astype(np.float64)
+        hidden = rng.integers(-3, 4, (m, d)).astype(np.float64)
+        if kind == "constant":
+            emb[:] = emb[0]
+        elif kind == "zero-hidden":
+            hidden[:] = 0.0
+        elif kind == "duplicates":
+            emb = emb[rng.integers(0, max(1, n // 4), n)]
+        targets = rng.integers(0, n, m)
+        last_tile = np.arange((n - 1) // C * C, n)
+        targets[::3] = rng.choice(last_tile, len(targets[::3]))
+        got = E._rank_rows(hidden, targets, emb, chunk)
+        want = [int(np.sum(emb @ h >= (emb @ h)[t])) for h, t in zip(hidden, targets)]
+        assert got.tolist() == want
+        if kind in ("constant", "zero-hidden"):
+            assert got.tolist() == [n] * m  # every item ties and ranks ahead
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 2 * C + 9), st.integers(1, 30), st.integers(1, 2),
+           st.sampled_from(CHUNKS), st.integers(0, 2**16))
+    def test_matches_einsum_reference(self, n_items, n_sessions, layers, chunk, seed):
+        state = toy_state(n_items, d=8, layers=layers, seed=seed)
+        sessions = toy_sessions(n_items, n_sessions, seed=seed + 1)
+        for batch in make_batches(sessions, batch_size=16, max_len=state.config.max_len,
+                                  pad_id=state.config.pad_id, trim=True):
+            got = E.batch_target_ranks(state, batch, chunk)
+            want = einsum_reference_ranks(state, batch, chunk)
+            np.testing.assert_array_equal(got[batch.mask], want[batch.mask])
+            np.testing.assert_array_equal(got[~batch.mask], 0)
+
+    def test_ranks_identical_at_one_and_two_blas_threads(self):
+        # products of [64, 64] x [64, 256] are large enough for OpenBLAS to split
+        # them across threads
+        script = (
+            "import numpy as np\n"
+            "from sessrec import evaluate as E\n"
+            "rng = np.random.default_rng(5)\n"
+            "emb, hidden = rng.normal(size=(2000, 64)), rng.normal(size=(300, 64))\n"
+            "targets = rng.integers(0, 2000, 300)\n"
+            "print(E._rank_rows(hidden, targets, emb, None).tolist())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestRankContributions:
