@@ -20,7 +20,7 @@ from . import evaluate as E
 from . import model as M
 from . import sampler as S
 from . import train as TR
-from .errors import SessrecError
+from .errors import ConfigError, SessrecError
 
 DATA_DIR_ENV = "SESSREC_DATA_DIR"
 
@@ -136,8 +136,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    dataset = D.load_prepared(_input_path(config))
+    source = _input_path(config)
+    dataset = D.load_prepared(source)
     state, _ = M.load_checkpoint(args.checkpoint)
+    if state.config.n_items != dataset.catalog.n_items:
+        # ids at or past the smaller size would be ranked wrongly or read as padding
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} scores {state.config.n_items} items but the "
+            f"cache {source} has a catalog of {dataset.catalog.n_items}"
+        )
     result = E.evaluate(
         state, dataset.test, k=config["eval.k"],
         batch_size=config["eval.batch_size"],

@@ -32,7 +32,7 @@ CLICK, CART, ORDER = "click", "cart", "order"
 _EVENT_TYPES = {"clicks": CLICK, "carts": CART, "orders": ORDER, CLICK: CLICK, CART: CART, ORDER: ORDER}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     session_id: object
     item_id: object
@@ -346,8 +346,12 @@ def filter_fixpoint(
 def columns_to_sessions(
     session_ids: Sequence, items: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray
 ) -> list[Session]:
-    """Session `i` holds events `offsets[i]:offsets[i + 1]` of the columns."""
-    items, timestamps, bounds = items.tolist(), timestamps.tolist(), offsets.tolist()
+    """Session `i` holds events `offsets[i]:offsets[i + 1]` of the columns.
+
+    All sessions share one int object per item id, not one per event.
+    """
+    shared = np.arange(int(items.max(initial=-1)) + 1).astype(object)
+    items, timestamps, bounds = shared[items].tolist(), timestamps.tolist(), offsets.tolist()
     return [
         Session(sid, items[lo:hi], timestamps[lo:hi])
         for sid, lo, hi in zip(session_ids, bounds, bounds[1:])

@@ -224,15 +224,18 @@ def _score_negatives(state: ModelState, hidden: Tensor, ids: np.ndarray) -> Tens
         rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
         flat = T.matmul(T.reshape(hidden, (b * width, d)), T.transpose(rows, (1, 0)))
         return T.reshape(flat, (b, width, k))
+    # The gathered rows are the left operand below, so their gradient
+    # g @ hidden comes out of BLAS contiguous, ready for the scatter-add.
     if gt == 1:
         if gb != b:
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
         rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
-        return T.matmul(hidden, T.transpose(rows, (0, 2, 1)))
+        out = T.matmul(rows, T.transpose(hidden, (0, 2, 1)))  # [b, k, W]
+        return T.transpose(out, (0, 2, 1))
     if (gb, gt) != (b, width):
         raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {hidden.shape}")
     rows = T.gather_rows(emb, ids)  # [b, W, k, d]
-    out = T.matmul(T.reshape(hidden, (b, width, 1, d)), T.transpose(rows, (0, 1, 3, 2)))
+    out = T.matmul(rows, T.reshape(hidden, (b, width, d, 1)))  # [b, W, k, 1]
     return T.reshape(out, (b, width, k))
 
 

@@ -332,24 +332,36 @@ def topk_filter(neg_scores: Tensor, k: int) -> TopKSelection:
 
     The gathered scores stay on the autodiff graph; negatives that were not
     selected receive exactly zero gradient.
+
+    `np.argpartition` picks some k entries at or above each row's k-th
+    largest value. The pick is exact unless the row holds that value outside
+    the pick too (a pool that repeats an id scores it alike); only such tied
+    rows are repaired, by giving the value's slots to its lowest-index
+    occurrences. The indices are then sorted.
     """
     neg_scores = T.as_tensor(neg_scores)
     n = neg_scores.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"top-k needs 1 <= k <= {n}, got {k}")
-    x = neg_scores.data
-    lead = x.shape[:-1]
-    if k == n:
-        indices = np.broadcast_to(np.arange(n, dtype=np.int64), x.shape).copy()
-    else:
-        kth = np.partition(x, n - k, axis=-1)[..., n - k : n - k + 1]
-        above = x > kth
-        need = k - above.sum(axis=-1, keepdims=True)
-        at = x == kth
-        fill = at & (np.cumsum(at, axis=-1) <= need)
-        selected = above | fill
-        _, cols = np.nonzero(selected.reshape(-1, n))
-        indices = cols.reshape(*lead, k).astype(np.int64)
+    x = neg_scores.data.reshape(-1, n)
+    picked = np.argpartition(x, n - k, axis=1)[:, n - k :]
+    values = np.take_along_axis(x, picked, axis=1)
+    kth = values[:, :1]  # argpartition puts the k-th largest first
+    at_kth = values == kth
+    slots = np.count_nonzero(at_kth, axis=1)
+    occurs = x == kth
+    count = np.count_nonzero(occurs, axis=1)
+    tied = np.flatnonzero(count > slots)
+    if tied.size:
+        # a tied row's slots at the k-th value go, in row-major order, to that
+        # many of the value's lowest-index occurrences in the row
+        rows, cols = np.nonzero(occurs[tied])
+        first = np.cumsum(count[tied]) - count[tied]
+        lowest = cols[np.arange(cols.size) - first[rows] < slots[tied][rows]]
+        repaired = picked[tied]
+        repaired[at_kth[tied]] = lowest
+        picked[tied] = repaired
+    indices = np.sort(picked, axis=1).reshape(*neg_scores.shape[:-1], k)
     return TopKSelection(indices, T.take_along_last(neg_scores, indices))
 
 

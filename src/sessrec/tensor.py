@@ -186,12 +186,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic
 
 
+# The binary ops compute no gradient for a side that does not require one
+# (a constant scale, a dropout or causal mask, a detached shift).
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _wire(out, (a, b), backward)
 
@@ -201,7 +208,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _wire(out, (a, b), backward)
 
@@ -212,8 +222,8 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _wire(out, (a, b), backward)
@@ -232,9 +242,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _wire(out, (a, b), backward)
 
@@ -285,13 +295,10 @@ def sigmoid(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form never exponentiates a positive argument
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without branching;
+    # the exponent is never positive
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(a) -> Tensor:
@@ -394,9 +401,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-8) -> Tensor:
     return add(mul(normalized, gain), bias)
 
 
+SCATTER_BLOCK = 16
+"""Columns summed per `np.bincount` call in `gather_rows` backward."""
+
+
 def gather_rows(table, ids) -> Tensor:
     """Row lookup `table[ids]`; backward scatter-adds into the table rows."""
     table = as_tensor(table)
+    if table.ndim != 2:
+        raise ShapeError(f"gather_rows needs a 2-d table, got shape {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
     n_rows = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
@@ -405,11 +418,31 @@ def gather_rows(table, ids) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        return (gt,)
+        return (_scatter_rows(ids, g.reshape(-1, table.shape[1]), n_rows),)
 
     return _wire(out, (table,), backward)
+
+
+def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum `rows[i]` into row `ids[i]` of an `[n_rows, d]` zero table.
+
+    One `np.bincount` over flat (row, column) bins per block of
+    `SCATTER_BLOCK` columns. Each bin adds its values in id order starting
+    from zero, exactly as `np.add.at` does, so the result is bit-identical.
+    """
+    ids = ids.reshape(-1)
+    d = rows.shape[1]
+    out = np.empty((n_rows, d))
+    bins = None
+    for lo in range(0, d, SCATTER_BLOCK):
+        width = min(SCATTER_BLOCK, d - lo)
+        if bins is None or bins.shape[1] != width:
+            bins = ids[:, None] * width + np.arange(width)
+        weights = rows[:, lo : lo + width].reshape(-1)
+        out[:, lo : lo + width] = np.bincount(
+            bins.reshape(-1), weights, minlength=n_rows * width
+        ).reshape(n_rows, width)
+    return out
 
 
 def take_along_last(a, indices) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 from . import config as C
 from . import model as M
 from .data import PreparedDataset, atomic_write, make_batches
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .loss import get_loss
 from .model import ModelConfig, ModelState
 from .sampler import (
@@ -228,6 +228,33 @@ def train_step(
     return value, int(batch.mask.sum())
 
 
+def _json_array(value: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+
+
+def _check_resume(path, extra: dict[str, np.ndarray], config: dict, manifest: dict) -> None:
+    """Refuse to resume a checkpoint under another config or dataset.
+
+    Every resolved config key but `train.epochs` and every dataset manifest
+    key must equal the checkpoint's; the first that differs is named.
+    """
+    for name, current in (("config", config), ("manifest", manifest)):
+        key = f"trainer.{name}"
+        if key not in extra:
+            raise ConfigError(f"checkpoint {path} holds no {key}; it cannot be resumed")
+        saved = json.loads(bytes(extra[key]).decode("utf-8"))
+        current = json.loads(json.dumps(current))  # compare JSON to JSON
+        for field_name in sorted(saved.keys() | current.keys()):
+            if field_name == "train.epochs":
+                continue
+            if saved.get(field_name) != current.get(field_name):
+                raise ConfigError(
+                    f"cannot resume from {path}: {name} key {field_name!r} is "
+                    f"{saved.get(field_name)!r} in the checkpoint but "
+                    f"{current.get(field_name)!r} in this run"
+                )
+
+
 def train(
     config: dict,
     dataset: PreparedDataset,
@@ -239,10 +266,12 @@ def train(
     config = C.validate(config)
     seed = config["train.seed"]
     n_items = dataset.catalog.n_items
+    manifest = dataset.manifest()
 
     start_epoch = 0
     if resume_from is not None:
         state, extra = M.load_checkpoint(resume_from)
+        _check_resume(resume_from, extra, config, manifest)
         optimizer = Adam(
             state.params, config["train.lr"], config["train.beta1"],
             config["train.beta2"], config["train.eps"],
@@ -306,6 +335,8 @@ def train(
         if out is not None:
             extra = optimizer.state_arrays()
             extra["trainer.epoch"] = np.array([epoch + 1], dtype=np.int64)
+            extra["trainer.config"] = _json_array(config)
+            extra["trainer.manifest"] = _json_array(manifest)
             M.save_checkpoint(state, out / "ckpt" / f"epoch-{epoch + 1}.bin", extra)
             report.save(out / "report.json")
 

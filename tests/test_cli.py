@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sessrec import evaluate as E
+from sessrec import model as M
 from sessrec.cli import main
 
 
@@ -166,6 +167,26 @@ class TestEvalVerb:
             E.export_metrics(series, run / "metrics.csv")
         assert {name: (run / name).read_bytes() for name in before} == before
         assert not [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("extra_items", [-1, 3])
+    def test_refuses_checkpoint_of_another_catalog_size(self, tmp_path, prepared, capsys,
+                                                        extra_items):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        state, _ = M.load_checkpoint(run / "ckpt" / "epoch-1.bin")
+        n_items = state.config.n_items
+        state.config.n_items += extra_items
+        other = tmp_path / "other.bin"
+        M.save_checkpoint(M.ModelState.initialize(state.config), other)
+        capsys.readouterr()
+        code = main(["eval", "--input", str(prepared), "--checkpoint", str(other),
+                     "--output-dir", str(tmp_path / "eval-out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"scores {n_items + extra_items} items" in err
+        assert f"catalog of {n_items}" in err
+        assert not (tmp_path / "eval-out" / "eval.json").exists()
 
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):
         run = tmp_path / "run"

@@ -110,6 +110,12 @@ class TestParsing:
         assert "b" not in ds.catalog.id_map
         assert [s.timestamps for s in ds.test] == [[100, 102]]
 
+    def test_events_carry_no_instance_dict(self):
+        # a parsed log holds one Event per click; slots keep each one small
+        event = D.Event(1, 5, 100)
+        assert not hasattr(event, "__dict__")
+        assert event == D.Event(1, 5, 100, D.CLICK)
+
     def test_out_of_order_timestamps_are_sorted(self):
         evs = [D.Event(2, "a", 101), D.Event(1, "b", 5), D.Event(1, "a", 1), D.Event(2, "b", 100)]
         ds = D.prepare_dataset(evs, min_support=1, min_len=2, holdout=50)
@@ -296,6 +302,16 @@ class TestPreparedCache:
         assert manifest["train_events"] == sum(len(s) for s in ds.train)
         assert manifest["n_items"] == ds.catalog.n_items
         assert sum(int(f) for f in ds.catalog.frequencies) == manifest["train_events"]
+
+    def test_sessions_share_one_int_per_item(self):
+        # ids past CPython's small-int cache, so sharing is not automatic
+        items = np.array([300, 301, 300, 302, 301, 300], dtype=np.int64)
+        sessions = D.columns_to_sessions(["a", "b"], items, np.arange(6), np.array([0, 3, 6]))
+        assert [s.items for s in sessions] == [[300, 301, 300], [302, 301, 300]]
+        assert [s.timestamps for s in sessions] == [[0, 1, 2], [3, 4, 5]]
+        flat = [x for s in sessions for x in s.items]
+        assert {type(x) for x in flat} == {int}
+        assert len({id(x) for x in flat}) == 3
 
     def test_support_scope_train_counts_on_train_only(self):
         # item Z has support 2 overall but only 1 inside the train window

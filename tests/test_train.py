@@ -7,7 +7,7 @@ from sessrec import config as C
 from sessrec import model as M
 from sessrec import train as TR
 from sessrec.data import Catalog, PreparedDataset, Session, make_batches
-from sessrec.errors import DivergenceError
+from sessrec.errors import ConfigError, DivergenceError
 from sessrec.tensor import Tensor
 
 
@@ -185,6 +185,29 @@ class TestCheckpointing:
         assert resumed.epochs[0].loss_mean == straight.epochs[1].loss_mean
         for name, p in straight_state.params.items():
             np.testing.assert_array_equal(resumed_state.params[name].data, p.data)
+
+    def test_resume_refuses_another_config_key(self, tmp_path):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        with pytest.raises(ConfigError, match="config key 'loss' is 'ssm' in the checkpoint but 'bce'"):
+            TR.train(toy_config(loss="bce"), ds, resume_from=path)
+
+    def test_resume_refuses_another_dataset(self, tmp_path):
+        TR.train(toy_config(**{"train.epochs": 1}), toy_dataset(), out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        with pytest.raises(ConfigError, match="manifest key 'test_events' is 21 in the checkpoint but 20"):
+            TR.train(toy_config(), toy_dataset(seed=1), resume_from=path)
+
+    def test_resume_refuses_a_checkpoint_without_its_run_record(self, tmp_path):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        state, extra = M.load_checkpoint(path)
+        del extra["trainer.manifest"]
+        M.save_checkpoint(state, path, extra)
+        with pytest.raises(ConfigError, match="no trainer.manifest"):
+            TR.train(toy_config(), ds, resume_from=path)
 
     def test_divergence_writes_snapshot(self, tmp_path, monkeypatch):
         ds = toy_dataset()
