@@ -138,7 +138,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     source = _input_path(config)
     dataset = D.load_prepared(source)
-    state, _ = M.load_checkpoint(args.checkpoint)
+    state, extra = M.load_checkpoint(args.checkpoint)
+    if "trainer.manifest" in extra:
+        saved, current = TR.stored_json(extra, "trainer.manifest"), dataset.manifest()
+        key = TR.first_difference(saved, current)
+        if key is not None:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} was trained on a dataset whose manifest key "
+                f"{key!r} is {saved.get(key)!r}, but the cache {source} has {current.get(key)!r}"
+            )
     if state.config.n_items != dataset.catalog.n_items:
         # ids at or past the smaller size would be ranked wrongly or read as padding
         raise ConfigError(

@@ -455,6 +455,17 @@ def load_prepared(in_dir) -> PreparedDataset:
                                           items, ts, offsets))
     if not np.array_equal(frequencies, np.bincount(arrays["train_items"], minlength=n_items)):
         raise CacheError("frequencies differ from np.bincount(train_items)")
+    with open(path / "manifest.json", "r", encoding="utf-8") as fh:
+        written = json.load(fh)
+    counts = {"n_items": n_items}
+    for prefix in ("train", "test"):
+        counts[f"{prefix}_sessions"] = len(arrays[f"{prefix}_sids"])
+        counts[f"{prefix}_events"] = len(arrays[f"{prefix}_items"])
+    for key, count in counts.items():
+        if written.get(key) != count:
+            raise CacheError(
+                f"manifest.json gives {key} = {written.get(key)!r} but the cached arrays hold {count}"
+            )
     return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))
 
 

@@ -1,7 +1,6 @@
 """Ranking losses over one positive score and a vector of negative scores.
 
-Three families are provided, all reduced as the mean over mask-valid
-positions:
+Three families are provided, each reduced as the mean over positions:
 
 * ``bce``      pointwise binary cross-entropy,
                 -log sigmoid(pos) - sum_j log(1 - sigmoid(neg_j))
@@ -11,8 +10,10 @@ positions:
 * ``ssm``      listwise sampled softmax,
                 -log(e^pos / (e^pos + sum_j e^neg_j))
 
-Scores at positions where the validity mask is false never contribute to the
-value or the gradient, even if they are garbage (e.g. produced from padding).
+Training passes only a batch's valid positions, [P] positive and [P, K]
+negative scores, and no mask. Padded [b, W] blocks take a validity `mask`:
+scores where it is false never contribute to the value or the gradient, even
+if they are garbage (e.g. produced from padding).
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ def _check(pos: Tensor, negs: Tensor, mask) -> np.ndarray | None:
 
 
 def _masked_mean(per_position: Tensor, mask: np.ndarray | None) -> Tensor:
-    if mask is None:
-        return T.mean(per_position)
-    count = float(mask.sum())
+    count = float(per_position.data.size if mask is None else mask.sum())
     if count == 0:
-        raise ValueError("validity mask selects no positions")
+        raise ValueError("no valid positions to average over")
+    if mask is None:
+        return T.mul(T.tsum(per_position), 1.0 / count)
     return T.mul(T.tsum(T.where_mask(mask, per_position)), 1.0 / count)
 
 

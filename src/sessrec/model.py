@@ -5,10 +5,13 @@ recipe: learned additive positional embeddings, post-norm residual blocks
 (pre-norm available behind a flag), single attention head by default, and a
 two-layer pointwise feed-forward with ReLU. The representation at position t
 predicts the item at t+1; scores are dot products against the shared item
-embedding table, whose last row is reserved for padding. Negatives are scored
-at their sampling granularity: a batchwise pool is one [b*W, d] x [d, n]
-product shared by the whole batch, and a mix of sources is scored source by
-source, so the pool is never expanded per session.
+embedding table, whose last row is reserved for padding.
+
+Training scores only the P valid positions of a batch (`pack`), so padding
+is never scored, filtered or back-propagated. Negatives are scored at their
+sampling granularity: a batchwise pool is one [P, d] x [d, n] product shared
+by the whole batch, and a mix of sources is scored source by source, so the
+pool is never expanded per session.
 """
 
 from __future__ import annotations
@@ -192,51 +195,86 @@ def forward(
     return x
 
 
-def score(state: ModelState, hidden: Tensor, item_ids) -> Tensor:
+@dataclass
+class Packed:
+    """Encoder output with the valid positions of its batch picked out.
+
+    `grid` is the [b, W, d] hidden block, `rows` the ascending flat indices
+    of the valid positions in [b, W], and `hidden` the [P, d] states there.
+    """
+
+    grid: Tensor
+    rows: np.ndarray
+    hidden: Tensor
+
+
+def pack(hidden: Tensor, mask=None) -> Packed:
+    """Pick the positions where `mask` is true (every position if None)."""
+    b, width, d = hidden.shape
+    if mask is None:
+        return Packed(hidden, np.arange(b * width), T.reshape(hidden, (b * width, d)))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (b, width):
+        raise ShapeError(f"mask {mask.shape} does not match hidden {hidden.shape}")
+    rows = np.flatnonzero(mask)
+    return Packed(hidden, rows, T.take_rows(hidden, rows))
+
+
+def score(state: ModelState, hidden, item_ids) -> Tensor:
     """Dot-product scores against tied embedding rows.
 
-    A [b, W] id array (targets) yields [b, W] scores; a NegativeSet or 3-d id
-    array broadcasts by granularity and yields [b, W, K]. A NegativeSet with
-    `parts` is scored part by part, each at its own granularity, and the
-    scores are joined along the sample axis.
+    Over a [b, W, d] hidden tensor, a [b, W] id array (targets) yields [b, W]
+    scores, and a NegativeSet or 3-d id array broadcasts by granularity and
+    yields [b, W, K]. Over a `Packed` batch the same ids yield [P] and [P, K]
+    scores at its valid positions only. A NegativeSet with `parts` is scored
+    part by part, each at its own granularity, and the scores are joined
+    along the sample axis.
     """
+    packed = hidden if isinstance(hidden, Packed) else pack(hidden)
+    lead = packed.grid.shape[:2]
     if isinstance(item_ids, NegativeSet) and item_ids.parts:
-        return T.concat([_score_negatives(state, hidden, p.ids) for p in item_ids.parts])
-    ids = item_ids.ids if isinstance(item_ids, NegativeSet) else np.asarray(item_ids)
-    if ids.ndim == 2:
-        b, width, _ = hidden.shape
-        if ids.shape != (b, width):
-            raise ShapeError(f"target ids {ids.shape} do not match hidden {hidden.shape}")
-        rows = T.gather_rows(state.params["item_emb"], ids)
-        return T.tsum(T.mul(hidden, rows), axis=-1)
-    return _score_negatives(state, hidden, ids)
+        out = T.concat([_score_negatives(state, packed, p.ids) for p in item_ids.parts])
+    else:
+        ids = item_ids.ids if isinstance(item_ids, NegativeSet) else np.asarray(item_ids)
+        if ids.ndim == 2:
+            if ids.shape != lead:
+                raise ShapeError(f"target ids {ids.shape} do not match hidden {packed.grid.shape}")
+            rows = T.gather_rows(state.params["item_emb"], ids.reshape(-1)[packed.rows])
+            out = T.tsum(T.mul(packed.hidden, rows), axis=-1)
+        else:
+            out = _score_negatives(state, packed, ids)
+    if isinstance(hidden, Packed):
+        return out
+    return T.reshape(out, lead + out.shape[1:])
 
 
-def _score_negatives(state: ModelState, hidden: Tensor, ids: np.ndarray) -> Tensor:
-    """[b, W, K] scores of 3-d negative ids, one contraction per granularity."""
+def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tensor:
+    """[P, K] scores of 3-d negative ids, one contraction per granularity."""
     emb = state.params["item_emb"]
-    b, width, d = hidden.shape
+    b, width, d = packed.grid.shape
     if ids.ndim != 3:
         raise ShapeError(f"item ids must be 2-d or 3-d, got shape {ids.shape}")
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
-        # one [b*W, d] x [d, k] product: its backward needs no [b, d, k] temporary
+        # one [P, d] x [d, k] product: its backward needs no [b, d, k] temporary
         rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
-        flat = T.matmul(T.reshape(hidden, (b * width, d)), T.transpose(rows, (1, 0)))
-        return T.reshape(flat, (b, width, k))
+        return T.matmul(packed.hidden, T.transpose(rows, (1, 0)))
     # The gathered rows are the left operand below, so their gradient
     # g @ hidden comes out of BLAS contiguous, ready for the scatter-add.
     if gt == 1:
         if gb != b:
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
         rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
-        out = T.matmul(rows, T.transpose(hidden, (0, 2, 1)))  # [b, k, W]
-        return T.transpose(out, (0, 2, 1))
+        out = T.matmul(rows, T.transpose(packed.grid, (0, 2, 1)))  # [b, k, W]
+        # every session's scores over all W positions, then its valid ones
+        return T.take_rows(T.transpose(out, (0, 2, 1)), packed.rows)
     if (gb, gt) != (b, width):
-        raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {hidden.shape}")
-    rows = T.gather_rows(emb, ids)  # [b, W, k, d]
-    out = T.matmul(rows, T.reshape(hidden, (b, width, d, 1)))  # [b, W, k, 1]
-    return T.reshape(out, (b, width, k))
+        raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {packed.grid.shape}")
+    positions = packed.rows.size
+    picked = ids.reshape(b * width, k)[packed.rows]  # only the valid positions' ids
+    rows = T.gather_rows(emb, picked)  # [P, k, d]
+    out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
+    return T.reshape(out, (positions, k))
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A dense float64 array plus optional gradient bookkeeping.
 
@@ -61,9 +57,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -443,6 +436,27 @@ def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
             bins.reshape(-1), weights, minlength=n_rows * width
         ).reshape(n_rows, width)
     return out
+
+
+def take_rows(a, rows) -> Tensor:
+    """Rows of `a` over its flattened leading axes: `[..., n] -> [len(rows), n]`.
+
+    The rows must be distinct (as a batch's valid positions are): backward
+    writes each gradient row into its slot of a zero block instead of
+    accumulating.
+    """
+    a = as_tensor(a)
+    index = np.unravel_index(np.asarray(rows, dtype=np.int64), a.shape[:-1])
+    out = a.data[index]
+
+    def backward(g):
+        # np.zeros, not zeros_like: a large calloc'd block is mapped lazily,
+        # so pages no row is written to (a batch's padding) take no memory
+        ga = np.zeros(a.shape)
+        ga[index] = g
+        return (ga,)
+
+    return _wire(out, (a,), backward)
 
 
 def take_along_last(a, indices) -> Tensor:

@@ -158,9 +158,13 @@ def train_step(
     draw_totals: dict,
     frequency_table: AliasTable | None = None,
 ) -> tuple[float, int]:
-    """One forward/sample/score/filter/loss/update cycle; returns (loss, positions)."""
+    """One forward/sample/score/filter/loss/update cycle; returns (loss, positions).
+
+    Everything after the encoder runs on the P valid positions only: [P]
+    positive and [P, K] negative scores, top-k and the loss without a mask.
+    """
     dropout_rng = rng_stream(seed, "dropout", epoch, index)
-    hidden = M.forward(state, batch, mode="train", rng=dropout_rng)
+    hidden = M.pack(M.forward(state, batch, mode="train", rng=dropout_rng), batch.mask)
     pos_scores = M.score(state, hidden, batch.targets)
 
     parts = []
@@ -208,11 +212,9 @@ def train_step(
 
     loss_name = config["loss"]
     if loss_name == "bpr-max":
-        loss = get_loss(loss_name)(
-            pos_scores, neg_scores, config["loss.bpr_max.lambda"], mask=batch.mask
-        )
+        loss = get_loss(loss_name)(pos_scores, neg_scores, config["loss.bpr_max.lambda"])
     else:
-        loss = get_loss(loss_name)(pos_scores, neg_scores, mask=batch.mask)
+        loss = get_loss(loss_name)(pos_scores, neg_scores)
     value = loss.item()
     if not np.isfinite(value):
         raise DivergenceError(
@@ -225,11 +227,25 @@ def train_step(
     if config["train.clip_norm"] > 0.0:
         clip_gradient_norm(state.params, config["train.clip_norm"])
     optimizer.step()
-    return value, int(batch.mask.sum())
+    return value, hidden.rows.size
 
 
 def _json_array(value: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+
+
+def stored_json(extra: dict[str, np.ndarray], key: str) -> dict:
+    """A run record (`trainer.config`, `trainer.manifest`) read back from a checkpoint."""
+    return json.loads(bytes(extra[key]).decode("utf-8"))
+
+
+def first_difference(saved: dict, current: dict, exempt=()) -> str | None:
+    """The first key, in sorted order, whose JSON values differ; None if none does."""
+    current = json.loads(json.dumps(current))  # compare JSON to JSON
+    for key in sorted(saved.keys() | current.keys()):
+        if key not in exempt and saved.get(key) != current.get(key):
+            return key
+    return None
 
 
 def _check_resume(path, extra: dict[str, np.ndarray], config: dict, manifest: dict) -> None:
@@ -242,17 +258,14 @@ def _check_resume(path, extra: dict[str, np.ndarray], config: dict, manifest: di
         key = f"trainer.{name}"
         if key not in extra:
             raise ConfigError(f"checkpoint {path} holds no {key}; it cannot be resumed")
-        saved = json.loads(bytes(extra[key]).decode("utf-8"))
-        current = json.loads(json.dumps(current))  # compare JSON to JSON
-        for field_name in sorted(saved.keys() | current.keys()):
-            if field_name == "train.epochs":
-                continue
-            if saved.get(field_name) != current.get(field_name):
-                raise ConfigError(
-                    f"cannot resume from {path}: {name} key {field_name!r} is "
-                    f"{saved.get(field_name)!r} in the checkpoint but "
-                    f"{current.get(field_name)!r} in this run"
-                )
+        saved = stored_json(extra, key)
+        field_name = first_difference(saved, current, exempt=("train.epochs",))
+        if field_name is not None:
+            raise ConfigError(
+                f"cannot resume from {path}: {name} key {field_name!r} is "
+                f"{saved.get(field_name)!r} in the checkpoint but "
+                f"{current.get(field_name)!r} in this run"
+            )
 
 
 def train(

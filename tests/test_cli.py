@@ -188,6 +188,27 @@ class TestEvalVerb:
         assert f"catalog of {n_items}" in err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
+    def test_refuses_checkpoint_of_another_dataset_manifest(self, tmp_path, prepared, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        state, extra = M.load_checkpoint(run / "ckpt" / "epoch-1.bin")
+        manifest = json.loads(bytes(extra["trainer.manifest"]).decode("utf-8"))
+        sessions = manifest["train_sessions"]
+        manifest["train_sessions"] = sessions + 1  # n_items stays the same
+        extra["trainer.manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"),
+                                                  dtype=np.uint8)
+        other = tmp_path / "other.bin"
+        M.save_checkpoint(state, other, extra)
+        capsys.readouterr()
+        code = main(["eval", "--input", str(prepared), "--checkpoint", str(other),
+                     "--output-dir", str(tmp_path / "eval-out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"manifest key 'train_sessions' is {sessions + 1}, but the cache" in err
+        assert f"has {sessions}" in err
+        assert not (tmp_path / "eval-out" / "eval.json").exists()
+
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),

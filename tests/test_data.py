@@ -408,6 +408,18 @@ class TestCacheValidation:
         with pytest.raises(CacheError, match=r"data.npz train_sids\[3\] is 's3'"):
             D.load_prepared(tmp_path)
 
+    @pytest.mark.parametrize("key", ["train_sessions", "train_events", "test_sessions",
+                                     "test_events", "n_items"])
+    def test_manifest_count_disagrees_with_arrays(self, tmp_path, key):
+        self._corrupt(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        count = manifest[key]
+        manifest[key] = count + 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CacheError, match=f"manifest.json gives {key} = {count + 1} "
+                                             f"but the cached arrays hold {count}"):
+            D.load_prepared(tmp_path)
+
     def test_catalog_in_old_mapping_format(self, tmp_path):
         self._corrupt(tmp_path)
         keys = json.loads((tmp_path / "catalog.json").read_text())

@@ -1,7 +1,12 @@
 """Optimizer oracles, determinism, draw accounting, checkpointing, resume."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessrec import config as C
 from sessrec import model as M
@@ -185,6 +190,39 @@ class TestCheckpointing:
         assert resumed.epochs[0].loss_mean == straight.epochs[1].loss_mean
         for name, p in straight_state.params.items():
             np.testing.assert_array_equal(resumed_state.params[name].data, p.data)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        epochs=st.integers(2, 4),
+        data=st.data(),
+        overrides=st.sampled_from([
+            {"negs.inbatch.count": 0, "negs.topk": 3},  # top-k over a batchwise pool
+            {"negs.topk": 0, "negs.uniform.granularity": "sessionwise",
+             "loss": "bpr-max"},  # in-batch next to a sessionwise pool
+            {},  # in-batch and top-k
+        ]),
+    )
+    def test_resume_at_any_epoch_is_bit_exact(self, epochs, data, overrides):
+        resumed_at = data.draw(st.integers(1, epochs - 1), label="resumed_at")
+        ds = toy_dataset(n_sessions=20)
+        config = toy_config(**{"train.epochs": epochs, **overrides})
+        with tempfile.TemporaryDirectory() as tmp:
+            straight_dir, resumed_dir = Path(tmp) / "straight", Path(tmp) / "resumed"
+            _, straight = TR.train(config, ds, out_dir=straight_dir)
+            TR.train({**config, "train.epochs": resumed_at}, ds, out_dir=resumed_dir)
+            _, resumed = TR.train(config, ds, out_dir=resumed_dir,
+                                  resume_from=resumed_dir / "ckpt" / f"epoch-{resumed_at}.bin")
+            final = f"ckpt/epoch-{epochs}.bin"
+            want_state, want = M.load_checkpoint(straight_dir / final)
+            got_state, got = M.load_checkpoint(resumed_dir / final)
+        assert [e.loss_mean for e in resumed.epochs] == [
+            e.loss_mean for e in straight.epochs[resumed_at:]]
+        for name, p in want_state.params.items():
+            np.testing.assert_array_equal(got_state.params[name].data, p.data, err_msg=name)
+        moments = [key for key in want if key.startswith(("opt.m.", "opt.v."))]
+        assert len(moments) == 2 * len(want_state.params)
+        for key in moments + ["opt.step", "trainer.epoch"]:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
     def test_resume_refuses_another_config_key(self, tmp_path):
         ds = toy_dataset()
