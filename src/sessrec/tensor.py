@@ -5,6 +5,12 @@ recommender are provided (matrix multiply, elementwise arithmetic with NumPy
 broadcasting, softmax, layer norm, embedding gather, concatenation, masked
 dropout, pointwise nonlinearities, reductions). The reference numeric type is
 float64 so that finite-difference gradient checks are meaningful.
+
+`layer_norm` is one node with an analytic backward; its forward repeats the
+composed graph's arithmetic, so its outputs are bit-identical to it. A
+matmul whose right operand is a 2-d weight shared across a batched left
+operand gets the weight's gradient from one product over all rows. The
+ranking losses are fused nodes too, built in `loss.py` on `_wire`.
 """
 
 from __future__ import annotations
@@ -225,7 +231,8 @@ def mul(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product with NumPy batch-dim broadcasting.
 
-    Gradients: da = g @ b^T, db = a^T @ g (batch dims summed back down).
+    Gradients: da = g @ b^T, db = a^T @ g (batch dims summed back down). A
+    2-d `b` gets its gradient from `a` and `g` flattened to rows.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -236,7 +243,14 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif b.ndim == 2:
+            # a weight shared by every row of a batched operand: one
+            # [n, rows] x [rows, m] product instead of one per batch and a sum
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _wire(out, (a, b), backward)
@@ -289,9 +303,10 @@ def sigmoid(a) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without branching;
-    # the exponent is never positive
+    # the exponent is never positive, and e <= 1 makes max(e, x >= 0) the
+    # numerator (faster than np.where over mixed signs)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softplus(a) -> Tensor:
@@ -383,15 +398,38 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node. The forward repeats the arithmetic of the composed graph
+    (mean, centre, mean square, `(var + eps) ** -0.5`, scale, affine) in its
+    order, so outputs are bit-identical to it. The backward is analytic: with
+    x^ the normalized input and dx^ = g * gain,
+    dx = inv * (dx^ - x^ * mean(dx^ * x^)), less its mean over the axis.
+    """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    d = a.shape[-1]
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    normalized = mul(centered, inv)
-    return add(mul(normalized, gain), bias)
+    scale = 1.0 / float(a.shape[-1])
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    inv = (var + eps) ** -0.5
+    normalized = np.multiply(centered, inv, out=centered)
+    out = normalized * gain.data
+    out += bias.data
+
+    def backward(g):
+        ga = None
+        if a.requires_grad:
+            ga = g * gain.data
+            inner = (ga * normalized).sum(axis=-1, keepdims=True) * scale
+            ga -= normalized * inner
+            ga *= inv
+            ga -= ga.sum(axis=-1, keepdims=True) * scale
+        return (
+            ga,
+            _unbroadcast(g * normalized, gain.shape) if gain.requires_grad else None,
+            _unbroadcast(g, bias.shape) if bias.requires_grad else None,
+        )
+
+    return _wire(out, (a, gain, bias), backward)
 
 
 SCATTER_BLOCK = 16

@@ -101,6 +101,12 @@ class TestSharedProperties:
     ]
 
     @pytest.mark.parametrize("name,fn", LOSSES)
+    def test_mismatched_shapes_rejected(self, name, fn):
+        # pos [1] against negs [4, 3] used to broadcast silently
+        with pytest.raises(ValueError, match=r"\(1,\) vs \(4, 3\)"):
+            fn(Tensor(np.zeros(1)), Tensor(np.zeros((4, 3))))
+
+    @pytest.mark.parametrize("name,fn", LOSSES)
     def test_permutation_invariance(self, name, fn):
         rng = np.random.default_rng(15)
         pos = Tensor(rng.normal(size=(2,)))
