@@ -88,10 +88,6 @@ class CountingGenerator:
         self.draws += self._count(size)
         return self.generator.random(size=size)
 
-    def permutation(self, x):
-        self.draws += len(x) if hasattr(x, "__len__") else int(x)
-        return self.generator.permutation(x)
-
 
 @dataclass
 class NegativeSet:
@@ -218,11 +214,23 @@ def sample_frequency(
     return NegativeSet(ids, Granularity(granularity), n_frequency=count)
 
 
+def _inbatch_pool(batch: SessionBatch, pool: str):
+    """Each session's in-batch pool on one candidate axis for the batch: the
+    candidate ids (valid occurrences row-major, or the `U` distinct items),
+    `eligible[i, j]` (candidate `j` is not an item of row `i`), and each row's
+    count of distinct batch items outside it."""
+    valid = np.arange(batch.width) < batch.mask.sum(axis=1, keepdims=True) + 1
+    items, inverse = np.unique(batch.item_ids[valid], return_inverse=True)
+    member = np.zeros((batch.size, items.size), dtype=bool)
+    member[np.nonzero(valid)[0], inverse] = True
+    candidates = inverse if pool == "multiset" else np.arange(items.size)
+    return items[candidates], ~member[:, candidates], items.size - member.sum(axis=1)
+
+
 def inbatch_capacity(batch: SessionBatch) -> int:
     """In-batch negatives every session can be given: the batch's distinct
     items minus the distinct items of its largest session."""
-    rows = [set(batch.row_items(i).tolist()) for i in range(batch.size)]
-    return len(set().union(*rows)) - max(len(r) for r in rows)
+    return int(_inbatch_pool(batch, "distinct")[2].min())
 
 
 def sample_inbatch(
@@ -235,44 +243,34 @@ def sample_inbatch(
     excluded, and the draw is without replacement, so with single-item
     disjoint sessions each session receives a permutation of all other items.
     Within-batch occurrence counts make this frequency-proportional sampling.
+
+    One batch-level draw: each session keeps the candidates of its `count`
+    smallest uniform keys, one key per eligible candidate. That is the law and
+    the variate count (the sum of pool sizes) of permuting each pool apart.
     """
     _check_count(count)
     if pool not in ("multiset", "distinct"):
         raise ConfigError(f"inbatch pool must be 'multiset' or 'distinct', got {pool!r}")
-    b = batch.size
     if count == 0:
         return NegativeSet(
-            np.empty((b, 1, 0), dtype=np.int64), Granularity.SESSIONWISE, n_inbatch=0
+            np.empty((batch.size, 1, 0), dtype=np.int64), Granularity.SESSIONWISE, n_inbatch=0
         )
 
-    rows = [batch.row_items(i) for i in range(b)]
-    guaranteed = inbatch_capacity(batch)
+    ids, eligible, outside = _inbatch_pool(batch, pool)
+    guaranteed = int(outside.min())
     if count > guaranteed:
-        largest = max(range(b), key=lambda i: len(set(rows[i].tolist())))
+        largest = batch.session_refs[int(np.argmin(outside))].session_id
         raise PoolExhaustedError(
-            f"session {batch.session_refs[largest].session_id!r}: "
-            f"need {count} in-batch negatives but only {guaranteed} distinct "
-            f"batch items are guaranteed outside the session",
-            session_id=batch.session_refs[largest].session_id,
+            f"session {largest!r}: need {count} in-batch negatives but only {guaranteed} "
+            f"distinct batch items are guaranteed outside the session",
+            session_id=largest,
         )
 
-    all_items = np.concatenate(rows)
-    lengths = np.array([len(r) for r in rows])
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    out = np.empty((b, 1, count), dtype=np.int64)
-    for i in range(b):
-        others = np.concatenate([all_items[: starts[i]], all_items[starts[i + 1] :]])
-        if pool == "distinct":
-            others = np.unique(others)
-        candidates = others[~np.isin(others, rows[i])]
-        if len(candidates) < count:
-            raise PoolExhaustedError(
-                f"session {batch.session_refs[i].session_id!r}: pool has "
-                f"{len(candidates)} candidates, need {count}",
-                session_id=batch.session_refs[i].session_id,
-            )
-        out[i, 0] = rng.permutation(candidates)[:count]
-    return NegativeSet(out, Granularity.SESSIONWISE, n_inbatch=count)
+    # each row now has at least `guaranteed` >= count eligible candidates
+    keys = np.full(eligible.shape, np.inf)
+    keys[eligible] = rng.random(int(eligible.sum()))
+    ids = ids[np.argsort(keys, axis=1)[:, :count]]
+    return NegativeSet(ids[:, None, :], Granularity.SESSIONWISE, n_inbatch=count)
 
 
 _FINENESS = {Granularity.BATCHWISE: 0, Granularity.SESSIONWISE: 1, Granularity.ELEMENTWISE: 2}

@@ -19,7 +19,7 @@ import numpy as np
 from . import config as C
 from . import model as M
 from .data import PreparedDataset, atomic_write, make_batches
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, PoolExhaustedError
 from .loss import get_loss
 from .model import ModelConfig, ModelState
 from .sampler import (
@@ -69,14 +69,14 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> None:
+        """One update; a non-finite gradient raises before any state changes."""
+        grads = [(name, p, p.grad) for name, p in self.params.items() if p.grad is not None]
+        for name, _, g in grads:
+            if not np.isfinite(g).all():
+                raise DivergenceError(f"non-finite gradient in {name}", {"parameter": name})
         self.step_count += 1
         t = self.step_count
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"non-finite gradient in {name}")
+        for name, p, g in grads:
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             m_hat = self.m[name] / (1.0 - self.beta1**t)
@@ -168,38 +168,32 @@ def train_step(
     pos_scores = M.score(state, hidden, batch.targets)
 
     parts = []
+
+    def draw(purpose, sampler, *args, **kwargs):
+        # the samplers stay module globals read at each call: benchmark/tracer.py patches them
+        rng = CountingGenerator(rng_stream(seed, purpose, epoch, index))
+        parts.append(sampler(*args, rng, **kwargs))
+        draw_totals[purpose] += rng.draws
+
+    shape = {"batch_size": batch.size, "seq_len": batch.width}
     if config["negs.frequency.count"] > 0:
-        rng = CountingGenerator(rng_stream(seed, "frequency", epoch, index))
-        parts.append(
-            sample_frequency(
-                frequency_table,
-                config["negs.frequency.granularity"],
-                config["negs.frequency.count"],
-                rng,
-                batch_size=batch.size,
-                seq_len=batch.width,
-            )
-        )
-        draw_totals["frequency"] += rng.draws
+        draw("frequency", sample_frequency, frequency_table,
+             config["negs.frequency.granularity"], config["negs.frequency.count"], **shape)
     if config["negs.inbatch.count"] > 0:
         want = min(config["negs.inbatch.count"], inbatch_capacity(batch))
         if want > 0:
-            rng = CountingGenerator(rng_stream(seed, "inbatch", epoch, index))
-            parts.append(sample_inbatch(batch, want, rng, pool=config["negs.inbatch.pool"]))
-            draw_totals["inbatch"] += rng.draws
+            draw("inbatch", sample_inbatch, batch, want, pool=config["negs.inbatch.pool"])
     if config["negs.uniform.count"] > 0:
-        rng = CountingGenerator(rng_stream(seed, "uniform", epoch, index))
-        parts.append(
-            sample_uniform(
-                state.config.n_items,
-                config["negs.uniform.granularity"],
-                config["negs.uniform.count"],
-                rng,
-                batch_size=batch.size,
-                seq_len=batch.width,
-            )
-        )
-        draw_totals["uniform"] += rng.draws
+        draw("uniform", sample_uniform, state.config.n_items,
+             config["negs.uniform.granularity"], config["negs.uniform.count"], **shape)
+    if not parts:
+        # in-batch is the only source and this batch has room for none: the
+        # sampler raises, naming the session, before it draws
+        try:
+            sample_inbatch(batch, config["negs.inbatch.count"], None)
+        except PoolExhaustedError as err:
+            message = f"epoch {epoch + 1}, batch {index} has no negatives to score: {err}"
+            raise PoolExhaustedError(message, err.session_id) from None
 
     negatives = parts[0]
     for extra in parts[1:]:
@@ -226,7 +220,11 @@ def train_step(
     loss.backward()
     if config["train.clip_norm"] > 0.0:
         clip_gradient_norm(state.params, config["train.clip_norm"])
-    optimizer.step()
+    try:
+        optimizer.step()
+    except DivergenceError as err:
+        snapshot = {"epoch": epoch + 1, "batch": index, **err.snapshot}
+        raise DivergenceError(f"{err} at epoch {epoch + 1}, batch {index}", snapshot) from None
     return value, hidden.rows.size
 
 

@@ -1,5 +1,6 @@
 """Optimizer oracles, determinism, draw accounting, checkpointing, resume."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from sessrec import config as C
 from sessrec import model as M
 from sessrec import train as TR
 from sessrec.data import Catalog, PreparedDataset, Session, make_batches
-from sessrec.errors import ConfigError, DivergenceError
+from sessrec.errors import ConfigError, DivergenceError, PoolExhaustedError
 from sessrec.tensor import Tensor
 
 
@@ -68,6 +69,25 @@ class TestAdam:
         p["w"].grad = np.array([np.nan])
         with pytest.raises(DivergenceError):
             TR.Adam(p).step()
+
+    def test_non_finite_gradient_changes_no_state(self):
+        # the bad gradient sits in the last parameter, so a step that updated
+        # parameters in turn would already have moved the first two
+        p = {name: Tensor(np.array([1.0, 2.0]), requires_grad=True) for name in "abc"}
+        for t in p.values():
+            t.grad = np.array([0.5, -0.5])
+        opt = TR.Adam(p, lr=0.1)
+        opt.step()
+        before = {name: (t.data.copy(), opt.m[name].copy(), opt.v[name].copy())
+                  for name, t in p.items()}
+        p["c"].grad = np.array([0.5, np.inf])
+        with pytest.raises(DivergenceError) as err:
+            opt.step()
+        assert err.value.snapshot == {"parameter": "c"}
+        assert opt.step_count == 1
+        for name, t in p.items():
+            for now, then in zip((t.data, opt.m[name], opt.v[name]), before[name]):
+                np.testing.assert_array_equal(now, then)
 
     def test_missing_grad_is_skipped(self):
         p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
@@ -260,3 +280,32 @@ class TestCheckpointing:
         with pytest.raises(DivergenceError):
             TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
         assert (tmp_path / "divergence.json").exists()
+
+    def test_non_finite_gradient_names_the_parameter(self, tmp_path, monkeypatch):
+        step = TR.Adam.step
+
+        def poisoned_step(self):
+            self.params["item_emb"].grad[0, 0] = np.nan
+            step(self)
+
+        monkeypatch.setattr(TR.Adam, "step", poisoned_step)
+        with pytest.raises(DivergenceError, match="item_emb at epoch 1, batch 0"):
+            TR.train(toy_config(**{"train.epochs": 1}), toy_dataset(), out_dir=tmp_path)
+        snapshot = json.loads((tmp_path / "divergence.json").read_text())
+        assert snapshot == {"epoch": 1, "batch": 0, "parameter": "item_emb"}
+
+
+def test_a_batch_without_negatives_names_the_session():
+    # three disjoint sessions in batches of two: the last batch holds one
+    # session, which has no in-batch negative, and no other source is set
+    sessions = [Session(i, items, list(range(len(items))))
+                for i, items in enumerate([[0, 1, 2], [3, 4], [5, 6, 7]])]
+    ds = PreparedDataset(sessions, sessions[:1], Catalog({i: i for i in range(8)}, np.ones(8)))
+    config = toy_config(**{"negs.uniform.count": 0, "negs.inbatch.count": 2,
+                           "negs.topk": 0, "train.batch_size": 2, "train.epochs": 1})
+    last = list(make_batches(sessions, batch_size=2, max_len=8, pad_id=8, trim=True,
+                             shuffle_rng=TR.rng_stream(config["train.seed"], "shuffle", 0)))[-1]
+    alone = last.session_refs[0].session_id
+    with pytest.raises(PoolExhaustedError, match=f"epoch 1, batch 1 .*session {alone!r}") as err:
+        TR.train(config, ds)
+    assert err.value.session_id == alone
