@@ -31,10 +31,12 @@ batch = next(make_batches(sessions, batch_size=6, max_len=4, pad_id=99))
 inb = S.sample_inbatch(batch, 5, S.rng_stream(2, "inbatch"))
 print("in-batch ids for session 0:", sorted(inb.ids[0, 0].tolist()))
 
-# Batchwise uniform + sessionwise in-batch concatenate along the sample axis.
+# Batchwise uniform + sessionwise in-batch join along the sample axis; each
+# source stays a part at its own shape, and `ids` broadcasts them on demand.
 uni = S.sample_uniform(100, "batchwise", 8, S.rng_stream(3, "uniform"))
 combined = S.concat_negatives(inb, uni)
-print("concat [6,1,5] + [1,1,8] ->", combined.ids.shape, combined.granularity.value)
+print("concat [6,1,5] + [1,1,8] -> parts", [p.shape for p in combined.parts],
+      "joined", combined.ids.shape)
 
 # Top-k keeps the highest-scored (hardest) negatives; the rest get exactly
 # zero gradient in the backward pass.

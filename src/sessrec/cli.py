@@ -29,6 +29,25 @@ def log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _export_metrics(epochs: list[dict], path) -> int:
+    """Write the evaluated epochs of a report's `epochs` as metrics CSV rows;
+    returns how many there were (none: no file is written)."""
+    evaluated = [stats for stats in epochs if stats.get("eval")]
+    if evaluated:
+        k = evaluated[0]["eval"]["k"]
+        series = [
+            {
+                "epoch": stats["epoch"],
+                f"recall_at_{k}": stats["eval"]["recall_at_k"],
+                f"mrr_at_{k}": stats["eval"]["mrr_at_k"],
+                "wall_seconds": stats["wall_seconds"],
+            }
+            for stats in evaluated
+        ]
+        E.export_metrics(series, path, k=k)
+    return len(evaluated)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (dotted keys)")
@@ -119,18 +138,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         log(f"epoch {stats.epoch}: loss={stats.loss_mean:.5f} "
             f"wall={stats.wall_seconds:.2f}s ({stats.epochs_per_hour:.1f} epochs/h)")
 
-    series = [
-        {
-            "epoch": stats.epoch,
-            f"recall_at_{config['eval.k']}": stats.eval["recall_at_k"],
-            f"mrr_at_{config['eval.k']}": stats.eval["mrr_at_k"],
-            "wall_seconds": stats.wall_seconds,
-        }
-        for stats in report.epochs
-        if stats.eval
-    ]
-    if series:
-        E.export_metrics(series, out / "metrics.csv", k=config["eval.k"])
+    _export_metrics(report.to_dict()["epochs"], out / "metrics.csv")
     return 0
 
 
@@ -200,25 +208,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    series = []
-    k = None
-    for stats in report["epochs"]:
-        entry = stats.get("eval")
-        if not entry:
-            continue
-        k = entry["k"]
-        series.append(
-            {
-                "epoch": stats["epoch"],
-                f"recall_at_{k}": entry["recall_at_k"],
-                f"mrr_at_{k}": entry["mrr_at_k"],
-                "wall_seconds": stats["wall_seconds"],
-            }
-        )
-    if not series:
+    rows = _export_metrics(report["epochs"], args.output)
+    if not rows:
         raise SessrecError(f"report {args.report} holds no evaluation entries")
-    E.export_metrics(series, args.output, k=k)
-    log(f"wrote {len(series)} rows to {args.output}")
+    log(f"wrote {rows} rows to {args.output}")
     return 0
 
 

@@ -32,7 +32,7 @@ CLICK, CART, ORDER = "click", "cart", "order"
 _EVENT_TYPES = {"clicks": CLICK, "carts": CART, "orders": ORDER, CLICK: CLICK, CART: CART, ORDER: ORDER}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Event:
     session_id: object
     item_id: object
@@ -183,7 +183,6 @@ def make_batches(
     batch_size: int = 128,
     max_len: int = 50,
     pad_id: int | None = None,
-    shuffle_seed: int | None = None,
     shuffle_rng: np.random.Generator | None = None,
     trim: bool = False,
 ) -> Iterator[SessionBatch]:
@@ -203,8 +202,6 @@ def make_batches(
     order = np.arange(len(sessions))
     if shuffle_rng is not None:
         order = shuffle_rng.permutation(len(sessions))
-    elif shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(sessions))
 
     for start in range(0, len(sessions), batch_size):
         members = [sessions[i] for i in order[start : start + batch_size]]

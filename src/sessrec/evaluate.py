@@ -178,6 +178,8 @@ def evaluate(
                         (float(hits[i].sum()), float(rr[i].sum()), valid)
                     )
 
+    if n_transitions == 0:
+        raise EmptyDatasetError(f"no transition to rank in the {len(sessions)} test sessions")
     if average == "session":
         recalls = [h / c for h, _, c in per_session]
         mrrs = [r / c for _, r, c in per_session]
@@ -215,23 +217,3 @@ def export_metrics(series: Sequence[dict], path, k: int = 20) -> None:
                     repr(float(entry["wall_seconds"])),
                 ]
             )
-
-
-def parse_metrics(path, k: int = 20) -> list[dict]:
-    columns = [c.format(k=k) for c in METRIC_COLUMNS]
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != columns:
-            raise ValueError(f"unexpected metrics header {header}, want {columns}")
-        for row in reader:
-            out.append(
-                {
-                    "epoch": int(row[0]),
-                    columns[1]: float(row[1]),
-                    columns[2]: float(row[2]),
-                    "wall_seconds": float(row[3]),
-                }
-            )
-    return out

@@ -9,9 +9,9 @@ embedding table, whose last row is reserved for padding.
 
 Training scores only the P valid positions of a batch (`pack`), so padding
 is never scored, filtered or back-propagated. Negatives are scored at their
-sampling granularity: a batchwise pool is one [P, d] x [d, n] product shared
-by the whole batch, and a mix of sources is scored source by source, so the
-pool is never expanded per session.
+sampling granularity, one part of the `NegativeSet` at a time: a batchwise
+pool is one [P, d] x [d, n] product shared by the whole batch, so the pool
+is never expanded per session.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ class ModelState:
             ones("final.gain", (d,))
             zeros("final.bias", (d,))
         return cls(config, params)
-
-    def parameters(self):
-        return self.params.items()
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -224,36 +221,33 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
     """Dot-product scores against tied embedding rows.
 
     Over a [b, W, d] hidden tensor, a [b, W] id array (targets) yields [b, W]
-    scores, and a NegativeSet or 3-d id array broadcasts by granularity and
-    yields [b, W, K]. Over a `Packed` batch the same ids yield [P] and [P, K]
-    scores at its valid positions only. A NegativeSet with `parts` is scored
-    part by part, each at its own granularity, and the scores are joined
-    along the sample axis.
+    scores, and a NegativeSet or 3-d id array yields [b, W, K]. Over a
+    `Packed` batch the same ids yield [P] and [P, K] scores at its valid
+    positions only. Negatives are scored part by part, each at its own
+    granularity, and the scores are joined along the sample axis.
     """
     packed = hidden if isinstance(hidden, Packed) else pack(hidden)
     lead = packed.grid.shape[:2]
-    if isinstance(item_ids, NegativeSet) and item_ids.parts:
-        out = T.concat([_score_negatives(state, packed, p.ids) for p in item_ids.parts])
+    if isinstance(item_ids, NegativeSet) or np.ndim(item_ids) != 2:
+        if not isinstance(item_ids, NegativeSet):
+            item_ids = NegativeSet(np.asarray(item_ids))
+        scores = [_score_negatives(state, packed, ids) for ids in item_ids.parts]
+        out = scores[0] if len(scores) == 1 else T.concat(scores)
     else:
-        ids = item_ids.ids if isinstance(item_ids, NegativeSet) else np.asarray(item_ids)
-        if ids.ndim == 2:
-            if ids.shape != lead:
-                raise ShapeError(f"target ids {ids.shape} do not match hidden {packed.grid.shape}")
-            rows = T.gather_rows(state.params["item_emb"], ids.reshape(-1)[packed.rows])
-            out = T.tsum(T.mul(packed.hidden, rows), axis=-1)
-        else:
-            out = _score_negatives(state, packed, ids)
+        ids = np.asarray(item_ids)
+        if ids.shape != lead:
+            raise ShapeError(f"target ids {ids.shape} do not match hidden {packed.grid.shape}")
+        rows = T.gather_rows(state.params["item_emb"], ids.reshape(-1)[packed.rows])
+        out = T.tsum(T.mul(packed.hidden, rows), axis=-1)
     if isinstance(hidden, Packed):
         return out
     return T.reshape(out, lead + out.shape[1:])
 
 
 def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tensor:
-    """[P, K] scores of 3-d negative ids, one contraction per granularity."""
+    """[P, k] scores of one part's 3-d ids, one contraction per granularity."""
     emb = state.params["item_emb"]
     b, width, d = packed.grid.shape
-    if ids.ndim != 3:
-        raise ShapeError(f"item ids must be 2-d or 3-d, got shape {ids.shape}")
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
         # one [P, d] x [d, k] product: its backward needs no [b, d, k] temporary

@@ -7,11 +7,11 @@ tensor shape carrying it:
     sessionwise   one set per session               ids shaped [b, 1, n]
     batchwise     one set per batch                 ids shaped [1, 1, n]
 
-Sources are concatenated along the sample axis. A mix of shapes (say
-in-batch [b, 1, m] plus a batchwise pool [1, 1, n]) keeps its sources as
-parts, and the model scores each part at its own granularity, so the pool
-is one matrix multiply shared by the whole batch and never a per-session
-copy.
+A `NegativeSet` holds its sources as parts in sample-axis order, each at
+its own shape, and merges adjacent parts of one shape. A mix of shapes (say
+in-batch [b, 1, m] plus a batchwise pool [1, 1, n]) stays two parts, and the
+model scores each at its own granularity, so the pool is one matrix multiply
+shared by the whole batch and never a per-session copy.
 
 Uniform and frequency samplers deliberately do NOT exclude a session's own
 items (false negatives are rare on large catalogs and exclusion is what makes
@@ -89,28 +89,46 @@ class CountingGenerator:
         return self.generator.random(size=size)
 
 
-@dataclass
 class NegativeSet:
-    """Sampled negative ids with a declared granularity shape.
+    """Sampled negative ids, held as parts in sample-axis order.
 
-    `parts` holds the sources of a mixed-shape set in sample-axis order;
-    `ids` is their concatenation broadcast to the finest shape.
+    A part is a 3-d id array whose shape is its granularity: [1, 1, n],
+    [b, 1, n] or [b, T, n]. Adjacent parts of one shape are merged, and the
+    leading shapes of all parts must broadcast together.
     """
 
-    ids: np.ndarray
-    granularity: Granularity
-    n_uniform: int = 0
-    n_frequency: int = 0
-    n_inbatch: int = 0
-    parts: tuple["NegativeSet", ...] = ()
+    def __init__(self, *parts: np.ndarray):
+        if not parts:
+            raise ShapeError("a negative set needs at least one part")
+        merged: list[np.ndarray] = []
+        for ids in parts:
+            if ids.ndim != 3:
+                raise ShapeError(f"negative ids must be 3-d, got shape {ids.shape}")
+            if merged and merged[-1].shape[:2] == ids.shape[:2]:
+                merged[-1] = np.concatenate([merged[-1], ids], axis=-1)
+            else:
+                merged.append(ids)
+        self.parts = tuple(merged)
+        self._lead()  # raises if the leading shapes do not broadcast
 
-    def __post_init__(self):
-        if self.ids.ndim != 3:
-            raise ShapeError(f"negative ids must be 3-d, got shape {self.ids.shape}")
+    def _lead(self) -> tuple[int, ...]:
+        try:
+            return np.broadcast_shapes(*(ids.shape[:2] for ids in self.parts))
+        except ValueError:
+            shapes = ", ".join(str(ids.shape) for ids in self.parts)
+            raise ShapeError(f"negative parts do not broadcast: {shapes}") from None
 
     @property
     def count(self) -> int:
-        return self.ids.shape[-1]
+        return sum(ids.shape[-1] for ids in self.parts)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The parts joined along the sample axis, broadcast to the finest shape."""
+        lead = self._lead()
+        return np.concatenate(
+            [np.broadcast_to(ids, (*lead, ids.shape[-1])) for ids in self.parts], axis=-1
+        )
 
 
 @dataclass
@@ -154,11 +172,7 @@ def sample_uniform(
     if n_items < 1:
         raise ConfigError("cannot sample from an empty catalog")
     shape = _shape_for(granularity, count, batch_size, seq_len)
-    if count == 0:
-        ids = np.empty(shape, dtype=np.int64)
-    else:
-        ids = rng.integers(0, n_items, size=shape).astype(np.int64, copy=False)
-    return NegativeSet(ids, Granularity(granularity), n_uniform=count)
+    return NegativeSet(rng.integers(0, n_items, size=shape).astype(np.int64, copy=False))
 
 
 class AliasTable:
@@ -206,12 +220,7 @@ def sample_frequency(
     else:
         weights = catalog.frequencies if hasattr(catalog, "frequencies") else np.asarray(catalog)
         table = AliasTable(weights)
-    shape = _shape_for(granularity, count, batch_size, seq_len)
-    if count == 0:
-        ids = np.empty(shape, dtype=np.int64)
-    else:
-        ids = table.sample(rng, shape)
-    return NegativeSet(ids, Granularity(granularity), n_frequency=count)
+    return NegativeSet(table.sample(rng, _shape_for(granularity, count, batch_size, seq_len)))
 
 
 def _inbatch_pool(batch: SessionBatch, pool: str):
@@ -252,9 +261,7 @@ def sample_inbatch(
     if pool not in ("multiset", "distinct"):
         raise ConfigError(f"inbatch pool must be 'multiset' or 'distinct', got {pool!r}")
     if count == 0:
-        return NegativeSet(
-            np.empty((batch.size, 1, 0), dtype=np.int64), Granularity.SESSIONWISE, n_inbatch=0
-        )
+        return NegativeSet(np.empty((batch.size, 1, 0), dtype=np.int64))
 
     ids, eligible, outside = _inbatch_pool(batch, pool)
     guaranteed = int(outside.min())
@@ -270,59 +277,12 @@ def sample_inbatch(
     keys = np.full(eligible.shape, np.inf)
     keys[eligible] = rng.random(int(eligible.sum()))
     ids = ids[np.argsort(keys, axis=1)[:, :count]]
-    return NegativeSet(ids[:, None, :], Granularity.SESSIONWISE, n_inbatch=count)
-
-
-_FINENESS = {Granularity.BATCHWISE: 0, Granularity.SESSIONWISE: 1, Granularity.ELEMENTWISE: 2}
+    return NegativeSet(ids[:, None, :])
 
 
 def concat_negatives(first: NegativeSet, second: NegativeSet) -> NegativeSet:
-    """Concatenate two negative sets along the sample axis after broadcasting.
-
-    Adjacent sources of one shape merge into one part; more than one part
-    is kept in `parts`, so the model can score each at its own granularity.
-    """
-    if first.count == 0:
-        return second
-    if second.count == 0:
-        return first
-    joined = _stack(first, second)
-    parts = list(first.parts or (first,))
-    for part in second.parts or (second,):
-        if parts[-1].ids.shape[:2] == part.ids.shape[:2]:
-            parts[-1] = _stack(parts[-1], part)
-        else:
-            parts.append(part)
-    if len(parts) > 1:
-        joined.parts = tuple(parts)
-    return joined
-
-
-def _stack(first: NegativeSet, second: NegativeSet) -> NegativeSet:
-    """Broadcast both id arrays to a common lead shape and join their sample axes."""
-    lead = []
-    for axis in (0, 1):
-        a, b = first.ids.shape[axis], second.ids.shape[axis]
-        if a != b and 1 not in (a, b):
-            raise ShapeError(
-                f"negative sets do not broadcast: {first.ids.shape} vs {second.ids.shape}"
-            )
-        lead.append(max(a, b))
-    ids = np.concatenate(
-        [
-            np.broadcast_to(first.ids, (*lead, first.count)),
-            np.broadcast_to(second.ids, (*lead, second.count)),
-        ],
-        axis=-1,
-    )
-    finest = max(first.granularity, second.granularity, key=lambda g: _FINENESS[g])
-    return NegativeSet(
-        ids,
-        finest,
-        n_uniform=first.n_uniform + second.n_uniform,
-        n_frequency=first.n_frequency + second.n_frequency,
-        n_inbatch=first.n_inbatch + second.n_inbatch,
-    )
+    """Join two negative sets along the sample axis, each part at its own shape."""
+    return NegativeSet(*first.parts, *second.parts)
 
 
 def topk_filter(neg_scores: Tensor, k: int) -> TopKSelection:

@@ -279,22 +279,19 @@ def train(
     n_items = dataset.catalog.n_items
     manifest = dataset.manifest()
 
-    start_epoch = 0
     if resume_from is not None:
         state, extra = M.load_checkpoint(resume_from)
         _check_resume(resume_from, extra, config, manifest)
-        optimizer = Adam(
-            state.params, config["train.lr"], config["train.beta1"],
-            config["train.beta2"], config["train.eps"],
-        )
-        optimizer.load_state_arrays(extra)
-        start_epoch = int(extra["trainer.epoch"][0])
     else:
         state = ModelState.initialize(model_config_from(config, n_items), seed=seed)
-        optimizer = Adam(
-            state.params, config["train.lr"], config["train.beta1"],
-            config["train.beta2"], config["train.eps"],
-        )
+    optimizer = Adam(
+        state.params, config["train.lr"], config["train.beta1"],
+        config["train.beta2"], config["train.eps"],
+    )
+    start_epoch = 0
+    if resume_from is not None:
+        optimizer.load_state_arrays(extra)
+        start_epoch = int(extra["trainer.epoch"][0])
 
     frequency_table = None
     if config["negs.frequency.count"] > 0:

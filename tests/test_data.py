@@ -228,9 +228,13 @@ class TestBatches:
 
     def test_deterministic_shuffle(self):
         sessions = [D.Session(i, [i % 3, (i + 1) % 3], [0, 1]) for i in range(20)]
-        a = [b.item_ids.copy() for b in D.make_batches(sessions, 8, 4, pad_id=3, shuffle_seed=5)]
-        b = [b.item_ids.copy() for b in D.make_batches(sessions, 8, 4, pad_id=3, shuffle_seed=5)]
-        c = [b.item_ids.copy() for b in D.make_batches(sessions, 8, 4, pad_id=3, shuffle_seed=6)]
+
+        def order(seed):
+            batches = D.make_batches(sessions, 8, 4, pad_id=3,
+                                     shuffle_rng=np.random.default_rng(seed))
+            return [b.item_ids.copy() for b in batches]
+
+        a, b, c = order(5), order(5), order(6)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -243,7 +247,7 @@ class TestBatches:
     def test_round_trip_reproduces_truncated_multiset(self, raw, max_len, trim):
         sessions = [D.Session(i, list(s), list(range(len(s)))) for i, s in enumerate(raw)]
         batches = D.make_batches(sessions, batch_size=3, max_len=max_len, pad_id=10,
-                                 shuffle_seed=1, trim=trim)
+                                 shuffle_rng=np.random.default_rng(1), trim=trim)
         rebuilt = sorted(
             tuple(b.row_items(i).tolist()) for b in batches for i in range(b.size)
         )

@@ -1,5 +1,6 @@
 """Exhaustive-ranking metrics against an independent brute-force oracle."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -251,6 +252,21 @@ class TestEvaluate:
         with pytest.raises(EmptyDatasetError):
             E.evaluate(toy_state(5), [], k=2)
 
+    @pytest.mark.parametrize("average", ["transition", "session"])
+    def test_sessions_without_transitions_rejected(self, average):
+        # one event per session: the sessions are valid but nothing can be ranked
+        sessions = [Session(0, [1], [0]), Session(1, [3], [5])]
+        with pytest.raises(EmptyDatasetError, match="no transition to rank in the 2 test sessions"):
+            E.evaluate(toy_state(5), sessions, k=2, average=average)
+
+
+def read_metrics(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            {key: int(value) if key == "epoch" else float(value) for key, value in row.items()}
+            for row in csv.DictReader(fh)
+        ]
+
 
 class TestExport:
     def _series(self, n, k=20):
@@ -275,15 +291,14 @@ class TestExport:
     def test_epochs_strictly_increasing(self, tmp_path):
         path = tmp_path / "metrics.csv"
         E.export_metrics(self._series(10), path)
-        parsed = E.parse_metrics(path)
-        epochs = [row["epoch"] for row in parsed]
+        epochs = [row["epoch"] for row in read_metrics(path)]
         assert epochs == sorted(epochs) == list(range(1, 11))
 
     def test_round_trip_is_exact(self, tmp_path):
         series = self._series(7)
         path = tmp_path / "metrics.csv"
         E.export_metrics(series, path)
-        assert E.parse_metrics(path) == series
+        assert read_metrics(path) == series
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -77,8 +77,7 @@ class TestForward:
         batch = batch_from([[1, 2, 3]], max_len=6, pad_id=10)
         hidden = M.forward(state, batch, mode="train", rng=rng_stream(0, "dropout"))
         pos = M.score(state, hidden, batch.targets)
-        negs = M.score(state, hidden, NegativeSet(
-            np.array([[[4, 5]]]), Granularity.BATCHWISE, n_uniform=2))
+        negs = M.score(state, hidden, NegativeSet(np.array([[[4, 5]]])))
         L.ssm(pos, negs, mask=batch.mask).backward()
         np.testing.assert_array_equal(state.params["item_emb"].grad[10], 0.0)
 
@@ -117,7 +116,8 @@ class TestScore:
         rng = np.random.default_rng(31)
         state = toy_state(n_items=20)
         hidden = T.Tensor(rng.standard_normal((2, 4, 8)))
-        negs = NegativeSet(rng.integers(0, 20, size=shape).astype(np.int64), granularity)
+        negs = S.sample_uniform(20, granularity, 6, rng, batch_size=2, seq_len=4)
+        assert negs.ids.shape == shape
         out = M.score(state, hidden, negs)
         assert out.shape == (2, 4, 6)
         emb = state.params["item_emb"].data
@@ -133,7 +133,7 @@ class TestScore:
             state.zero_grad()
             batch = batch_from([[1, 2, 3], [4, 5, 6]], max_len=3, pad_id=20)
             hidden = M.forward(state, batch, mode="eval")
-            negs = NegativeSet(rng.integers(0, 20, size=shape).astype(np.int64), Granularity.BATCHWISE)
+            negs = NegativeSet(rng.integers(0, 20, size=shape).astype(np.int64))
             pos = M.score(state, hidden, batch.targets)
             L.ssm(pos, M.score(state, hidden, negs), mask=batch.mask).backward()
             assert state.params["item_emb"].grad is not None
@@ -193,7 +193,7 @@ class TestScoreByParts:
             return loss.item(), selected, emb.grad.copy(), hidden.grad.copy()
 
         by_parts = run(combined)
-        by_ids = run(NegativeSet(combined.ids, combined.granularity))
+        by_ids = run(NegativeSet(combined.ids))
         assert abs(by_parts[0] - by_ids[0]) <= 1e-10
         if k > 0:
             np.testing.assert_array_equal(by_parts[1], by_ids[1])

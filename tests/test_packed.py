@@ -36,9 +36,9 @@ from sessrec.sampler import (
 
 
 def reference_score(state, hidden, item_ids):
-    if isinstance(item_ids, NegativeSet) and item_ids.parts:
-        return T.concat([reference_score_negatives(state, hidden, p.ids) for p in item_ids.parts])
-    ids = item_ids.ids if isinstance(item_ids, NegativeSet) else np.asarray(item_ids)
+    if isinstance(item_ids, NegativeSet):
+        return T.concat([reference_score_negatives(state, hidden, p) for p in item_ids.parts])
+    ids = np.asarray(item_ids)
     if ids.ndim == 2:
         rows = T.gather_rows(state.params["item_emb"], ids)
         return T.tsum(T.mul(hidden, rows), axis=-1)

@@ -1,5 +1,7 @@
 """Shape, exclusion, statistical, and top-k contracts of the samplers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,53 +194,110 @@ class TestShapeLaw:
         assert cases >= 1000
 
 
+def negative_set(shape, value):
+    return S.NegativeSet(np.full(shape, value, dtype=np.int64))
+
+
+def stack_reference(parts):
+    """The joined block a negative set stored next to its parts until it kept
+    only the parts: a left fold that broadcasts two id arrays to a common lead
+    shape and joins their sample axes."""
+    joined = parts[0]
+    for ids in parts[1:]:
+        lead = []
+        for axis in (0, 1):
+            a, b = joined.shape[axis], ids.shape[axis]
+            if a != b and 1 not in (a, b):
+                raise ShapeError(f"negative sets do not broadcast: {joined.shape} vs {ids.shape}")
+            lead.append(max(a, b))
+        joined = np.concatenate(
+            [np.broadcast_to(joined, (*lead, joined.shape[-1])),
+             np.broadcast_to(ids, (*lead, ids.shape[-1]))],
+            axis=-1,
+        )
+    return joined
+
+
 class TestConcat:
     def test_broadcast_concat(self):
-        a = S.NegativeSet(np.zeros((1, 1, 2), dtype=np.int64), Granularity.BATCHWISE, n_uniform=2)
-        b = S.NegativeSet(np.ones((3, 1, 2), dtype=np.int64), Granularity.SESSIONWISE, n_inbatch=2)
-        out = S.concat_negatives(b, a)
+        out = S.concat_negatives(negative_set((3, 1, 2), 1), negative_set((1, 1, 2), 0))
         assert out.ids.shape == (3, 1, 4)
-        assert out.granularity is Granularity.SESSIONWISE
+        assert [p.shape for p in out.parts] == [(3, 1, 2), (1, 1, 2)]
         np.testing.assert_array_equal(out.ids[:, :, :2], 1)
         np.testing.assert_array_equal(out.ids[:, :, 2:], 0)
 
     def test_parts_follow_source_shapes(self):
-        def ids(shape, value):
-            return S.NegativeSet(np.full(shape, value, dtype=np.int64), Granularity.SESSIONWISE)
-
-        inbatch, pool, other = ids((3, 1, 2), 1), ids((1, 1, 4), 2), ids((3, 1, 1), 3)
-        assert S.concat_negatives(inbatch, other).parts == ()
+        inbatch, pool = negative_set((3, 1, 2), 1), negative_set((1, 1, 4), 2)
+        other = negative_set((3, 1, 1), 3)
+        assert [p.shape for p in S.concat_negatives(inbatch, other).parts] == [(3, 1, 3)]
         mixed = S.concat_negatives(S.concat_negatives(inbatch, pool), other)
-        assert [p.ids.shape for p in mixed.parts] == [(3, 1, 2), (1, 1, 4), (3, 1, 1)]
+        assert [p.shape for p in mixed.parts] == [(3, 1, 2), (1, 1, 4), (3, 1, 1)]
         merged = S.concat_negatives(S.concat_negatives(pool, inbatch), other)
-        assert [p.ids.shape for p in merged.parts] == [(1, 1, 4), (3, 1, 3)]
+        assert [p.shape for p in merged.parts] == [(1, 1, 4), (3, 1, 3)]
         np.testing.assert_array_equal(
-            np.concatenate([np.broadcast_to(p.ids, (3, 1, p.count)) for p in merged.parts], -1),
+            np.concatenate([np.broadcast_to(p, (3, 1, p.shape[-1])) for p in merged.parts], -1),
             merged.ids,
         )
 
     def test_empty_is_identity(self):
-        empty = S.NegativeSet(np.empty((1, 1, 0), dtype=np.int64), Granularity.BATCHWISE)
-        full = S.NegativeSet(np.ones((2, 1, 3), dtype=np.int64), Granularity.SESSIONWISE, n_uniform=3)
-        assert S.concat_negatives(empty, full) is full
-        assert S.concat_negatives(full, empty) is full
+        empty = negative_set((1, 1, 0), 0)
+        full = negative_set((2, 1, 3), 1)
+        for joined in (S.concat_negatives(empty, full), S.concat_negatives(full, empty)):
+            assert joined.count == 3
+            np.testing.assert_array_equal(joined.ids, full.ids)
 
     def test_largest_preset_shape(self):
-        uniform = S.NegativeSet(
-            np.zeros((1, 1, 16384), dtype=np.int64), Granularity.BATCHWISE, n_uniform=16384
-        )
-        inbatch = S.NegativeSet(
-            np.zeros((128, 1, 127), dtype=np.int64), Granularity.SESSIONWISE, n_inbatch=127
-        )
+        uniform = negative_set((1, 1, 16384), 0)
+        inbatch = negative_set((128, 1, 127), 0)
         out = S.concat_negatives(inbatch, uniform)
         assert out.ids.shape == (128, 1, 16511)
-        assert (out.n_uniform, out.n_inbatch) == (16384, 127)
+        assert out.count == 16511
+        assert [p.shape[-1] for p in out.parts] == [127, 16384]
 
     def test_incompatible_shapes(self):
-        a = S.NegativeSet(np.zeros((2, 1, 2), dtype=np.int64), Granularity.SESSIONWISE)
-        b = S.NegativeSet(np.zeros((3, 1, 2), dtype=np.int64), Granularity.SESSIONWISE)
         with pytest.raises(ShapeError):
-            S.concat_negatives(a, b)
+            S.concat_negatives(negative_set((2, 1, 2), 0), negative_set((3, 1, 2), 0))
+
+    def test_parts_must_be_3d(self):
+        with pytest.raises(ShapeError):
+            S.NegativeSet(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ShapeError):
+            S.NegativeSet()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), split=st.integers(0, 5), seed=st.integers(0, 2**16))
+    def test_parts_match_the_stacked_reference(self, data, split, seed):
+        # lead shapes for b=3, T=4, plus two that broadcast with only some
+        leads = [(1, 1), (3, 1), (3, 4), (2, 1), (1, 4)]
+        specs = data.draw(st.lists(st.tuples(st.sampled_from(leads), st.integers(0, 4)),
+                                   min_size=1, max_size=6))
+        rng = np.random.default_rng(seed)
+        parts = [rng.integers(0, 50, size=(*lead, n)) for lead, n in specs]
+        try:
+            want = stack_reference(parts)
+        except ShapeError:
+            with pytest.raises(ShapeError):
+                S.NegativeSet(*parts)
+            return
+        got = S.NegativeSet(*parts)
+        assert got.ids.shape == want.shape
+        np.testing.assert_array_equal(got.ids, want)
+        assert got.count == want.shape[-1]
+        # adjacent parts of one lead shape are merged, and only those
+        runs = [np.concatenate(list(run), axis=-1)
+                for _, run in itertools.groupby(parts, key=lambda p: p.shape[:2])]
+        assert len(got.parts) == len(runs)
+        for part, run in zip(got.parts, runs):
+            assert part.shape == run.shape
+            np.testing.assert_array_equal(part, run)
+        # joining two sets gives the same parts as one set of all of them
+        split = min(split, len(parts) - 1)
+        if split > 0:
+            joined = S.concat_negatives(S.NegativeSet(*parts[:split]),
+                                        S.NegativeSet(*parts[split:]))
+            assert [p.shape for p in joined.parts] == [p.shape for p in got.parts]
+            for a, b in zip(joined.parts, got.parts):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestTopK:
