@@ -54,19 +54,20 @@ def hook(state, epoch):
     return result.to_dict()
 
 
-out_dir = Path(tempfile.mkdtemp(prefix="sessrec-run-"))
-print("training:")
-state, report = TR.train(config, dataset, eval_hook=hook, out_dir=out_dir)
+with tempfile.TemporaryDirectory(prefix="sessrec-run-") as tmp:
+    out_dir = Path(tmp)
+    print("training:")
+    state, report = TR.train(config, dataset, eval_hook=hook, out_dir=out_dir)
 
-final = E.evaluate(state, dataset.test, k=20)
-print(f"final: recall@20={final.recall_at_k:.3f} mrr@20={final.mrr_at_k:.3f} "
-      f"over {final.n_transitions} transitions")
-print(f"checkpoints + report written to {out_dir}")
+    final = E.evaluate(state, dataset.test, k=20)
+    print(f"final: recall@20={final.recall_at_k:.3f} mrr@20={final.mrr_at_k:.3f} "
+          f"over {final.n_transitions} transitions")
+    print(f"checkpoints + report written to {out_dir} (removed on exit)")
 
-series = [
-    {"epoch": s.epoch, "recall_at_20": s.eval["recall_at_k"],
-     "mrr_at_20": s.eval["mrr_at_k"], "wall_seconds": s.wall_seconds}
-    for s in report.epochs
-]
-E.export_metrics(series, out_dir / "metrics.csv", k=20)
-print(f"metric curves exported to {out_dir / 'metrics.csv'}")
+    series = [
+        {"epoch": s.epoch, "recall_at_20": s.eval["recall_at_k"],
+         "mrr_at_20": s.eval["mrr_at_k"], "wall_seconds": s.wall_seconds}
+        for s in report.epochs
+    ]
+    E.export_metrics(series, out_dir / "metrics.csv", k=20)
+    print(f"metric curves exported to {out_dir / 'metrics.csv'}")

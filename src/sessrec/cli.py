@@ -48,6 +48,14 @@ def _export_metrics(epochs: list[dict], path) -> int:
     return len(evaluated)
 
 
+def _evaluate(state: M.ModelState, dataset: D.PreparedDataset, config: dict) -> E.EvalResult:
+    """Exhaustive eval of the test sessions under the `eval.*` keys."""
+    return E.evaluate(
+        state, dataset.test, k=config["eval.k"], batch_size=config["eval.batch_size"],
+        chunk_size=config["eval.chunk_size"] or None, average=config["eval.average"],
+    )
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (dotted keys)")
@@ -123,12 +131,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         def eval_hook(state, epoch):
             if epoch % args.eval_every != 0 and epoch != config["train.epochs"]:
                 return None
-            result = E.evaluate(
-                state, dataset.test, k=config["eval.k"],
-                batch_size=config["eval.batch_size"],
-                chunk_size=config["eval.chunk_size"] or None,
-                average=config["eval.average"],
-            )
+            result = _evaluate(state, dataset, config)
             log(f"epoch {epoch}: recall@{result.k}={result.recall_at_k:.4f} "
                 f"mrr@{result.k}={result.mrr_at_k:.4f}")
             return result.to_dict()
@@ -148,25 +151,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = D.load_prepared(source)
     state, extra = M.load_checkpoint(args.checkpoint)
     if "trainer.manifest" in extra:
-        saved, current = TR.stored_json(extra, "trainer.manifest"), dataset.manifest()
-        key = TR.first_difference(saved, current)
-        if key is not None:
-            raise ConfigError(
-                f"checkpoint {args.checkpoint} was trained on a dataset whose manifest key "
-                f"{key!r} is {saved.get(key)!r}, but the cache {source} has {current.get(key)!r}"
-            )
+        TR.check_checkpoint(args.checkpoint, extra, manifest=dataset.manifest())
     if state.config.n_items != dataset.catalog.n_items:
         # ids at or past the smaller size would be ranked wrongly or read as padding
         raise ConfigError(
             f"checkpoint {args.checkpoint} scores {state.config.n_items} items but the "
             f"cache {source} has a catalog of {dataset.catalog.n_items}"
         )
-    result = E.evaluate(
-        state, dataset.test, k=config["eval.k"],
-        batch_size=config["eval.batch_size"],
-        chunk_size=config["eval.chunk_size"] or None,
-        average=config["eval.average"],
-    )
+    result = _evaluate(state, dataset, config)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     C.save_config(config, out / "resolved-config.json")

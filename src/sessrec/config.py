@@ -1,8 +1,11 @@
 """Flat dotted-key configuration with presets and schema validation.
 
-A config is a plain dict of dotted keys. Unknown keys are rejected, values
-are coerced from strings (so CLI overrides and JSON files share one schema),
-and every run writes back its fully resolved snapshot for bit-exact reruns.
+A config is a plain dict of dotted keys. `resolve` merges four layers,
+schema defaults <- base (a JSON file) <- preset <- overrides, and hands the
+merged dict to `validate`, the one place where unknown keys are rejected and
+each value is coerced from a string or JSON value (so CLI overrides and JSON
+files share one schema). Every run writes back its fully resolved snapshot
+for bit-exact reruns; validating a resolved config returns it unchanged.
 
 Presets expand to the standard experiment grid: the `sasrec*` rows train
 with pointwise/pairwise losses over sessionwise negative pools, while the
@@ -139,55 +142,32 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def default_config() -> dict:
-    return {key: default for key, (default, _) in SCHEMA.items()}
-
-
-def coerce(key: str, value):
-    if key not in SCHEMA:
-        raise ConfigError(f"unknown config key {key!r}")
-    _, caster = SCHEMA[key]
-    try:
-        return caster(value) if value is not None else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from None
-
-
-def apply_overrides(config: dict, overrides: dict) -> dict:
-    out = dict(config)
-    for key, value in overrides.items():
-        out[key] = coerce(key, value)
-    return out
-
-
-def apply_preset(config: dict, preset: str) -> dict:
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    out = apply_overrides(config, PRESETS[preset])
-    out["train.preset"] = preset
-    return out
-
-
 def validate(config: dict) -> dict:
-    """Coerce every key, reject unknowns, and cross-check combinations."""
+    """Coerce every key once, reject unknowns, and cross-check combinations.
+
+    Keys that `config` leaves out take their schema default.
+    """
     unknown = set(config) - set(SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     out = {}
-    for key, (default, _) in SCHEMA.items():
-        out[key] = coerce(key, config.get(key, default))
+    for key, (default, caster) in SCHEMA.items():
+        try:
+            out[key] = caster(config.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
     for key in ("data.min_support", "data.min_len", "train.epochs", "train.batch_size",
                 "model.hidden_dim", "model.num_layers", "model.num_heads", "eval.k",
                 "eval.batch_size"):
-        if out[key] is not None and out[key] < (0 if key == "train.epochs" else 1):
+        if out[key] < (0 if key == "train.epochs" else 1):
             raise ConfigError(f"{key} must be positive, got {out[key]}")
     for key in ("negs.uniform.count", "negs.frequency.count", "negs.inbatch.count",
                 "negs.topk", "eval.chunk_size"):
         if out[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {out[key]}")
-    if out["negs.uniform.count"] + out["negs.frequency.count"] + out["negs.inbatch.count"] == 0:
-        raise ConfigError("at least one negative source must have a positive count")
     total = out["negs.uniform.count"] + out["negs.frequency.count"] + out["negs.inbatch.count"]
+    if total == 0:
+        raise ConfigError("at least one negative source must have a positive count")
     if out["negs.topk"] > total:
         raise ConfigError(
             f"negs.topk={out['negs.topk']} exceeds the {total} sampled negatives"
@@ -200,18 +180,16 @@ def validate(config: dict) -> dict:
 
 
 def resolve(base: dict | None = None, preset: str | None = None, overrides: dict | None = None) -> dict:
-    """default -> file/base -> preset -> overrides, then validate."""
-    config = default_config()
-    if base:
-        unknown = set(base) - set(SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config.update(base)
+    """Merge defaults <- base <- preset <- overrides, then validate once.
+
+    A preset also sets `train.preset` to its name.
+    """
+    chosen = {}
     if preset:
-        config = apply_preset(config, preset)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return validate(config)
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
+        chosen = {**PRESETS[preset], "train.preset": preset}
+    return validate({**(base or {}), **chosen, **(overrides or {})})
 
 
 def load_config(path) -> dict:

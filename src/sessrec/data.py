@@ -3,7 +3,9 @@
 Input formats:
 
 * session JSON lines, one session per line:
-  ``{"session": 42, "events": [{"aid": 5, "ts": 100, "type": "clicks"}, ...]}``
+  ``{"session": 42, "events": [{"aid": 5, "ts": 100, "type": "clicks"}, ...]}``;
+  a `session` or `aid` that is not a JSON integer or string makes the record
+  malformed
 * event CSV with header ``session_id,item_id,timestamp`` (all rows are clicks)
 
 `prepare_dataset` works on flat per-event columns (session code, item code,
@@ -104,6 +106,13 @@ def _reject(message: str, line_no: int, strict: bool, stats: ParseStats | None) 
         stats.skipped_lines.append(line_no)
 
 
+def _key(value, name: str):
+    """A session or item key as parsed: a JSON integer or string, nothing else."""
+    if type(value) is int or type(value) is str:  # a bool would alias 0 and 1
+        return value
+    raise TypeError(f"{name} {json.dumps(value)} is not an integer or string")
+
+
 def _parse_jsonl(path: Path, strict: bool, stats: ParseStats | None) -> Iterator[Event]:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -111,9 +120,9 @@ def _parse_jsonl(path: Path, strict: bool, stats: ParseStats | None) -> Iterator
                 continue
             try:
                 record = json.loads(line)
-                session = record["session"]
+                session = _key(record["session"], "session")
                 events = [
-                    Event(session, ev["aid"], int(ev["ts"]), _EVENT_TYPES[ev["type"]])
+                    Event(session, _key(ev["aid"], "aid"), int(ev["ts"]), _EVENT_TYPES[ev["type"]])
                     for ev in record["events"]
                 ]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

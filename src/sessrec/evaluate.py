@@ -7,6 +7,13 @@ exactly the target's score are ranked ahead of it, so a constant-score model
 earns zero recall rather than an inflated one. Scores come from BLAS products
 of one fixed tile shape, so no rank depends on the batch size, the chunk size
 or which transitions share a batch.
+
+One loop batches the test sessions and ranks each batch; `evaluate` sums
+the recall and reciprocal-rank contributions of its ranks, and
+`iter_transition_ranks` yields them one transition at a time. The
+transition average divides the sums by the transition count; the session
+average takes each session's mean over its own transitions and then the
+mean over the sessions that have one.
 """
 
 from __future__ import annotations
@@ -113,6 +120,21 @@ def _rank_rows(hidden: np.ndarray, targets: np.ndarray, emb: np.ndarray,
     return ranks[: len(targets)]
 
 
+def _ranked_batches(state: ModelState, sessions: Sequence[Session], batch_size: int,
+                    chunk_size: int | None):
+    """Yield (batch, ranks) for the eval batches of `sessions`: the one eval loop.
+
+    `make_batches` and `batch_target_ranks` stay module globals read at each
+    call: benchmark/tracer.py patches both.
+    """
+    cfg = state.config
+    batches = make_batches(
+        sessions, batch_size=batch_size, max_len=cfg.max_len, pad_id=cfg.pad_id, trim=True
+    )
+    for batch in batches:
+        yield batch, batch_target_ranks(state, batch, chunk_size)
+
+
 def iter_transition_ranks(
     state: ModelState,
     sessions: Sequence[Session],
@@ -120,15 +142,9 @@ def iter_transition_ranks(
     chunk_size: int | None = None,
 ):
     """Yield (session_id, position, rank) for every evaluation transition."""
-    batches = make_batches(
-        sessions, batch_size=batch_size, max_len=state.config.max_len,
-        pad_id=state.config.pad_id, trim=True,
-    )
-    for batch in batches:
-        ranks = batch_target_ranks(state, batch, chunk_size)
-        for i in range(batch.size):
-            for t in np.nonzero(batch.mask[i])[0]:
-                yield batch.session_refs[i].session_id, int(t), int(ranks[i, t])
+    for batch, ranks in _ranked_batches(state, sessions, batch_size, chunk_size):
+        for i, t in zip(*np.nonzero(batch.mask)):
+            yield batch.session_refs[i].session_id, int(t), int(ranks[i, t])
 
 
 def evaluate(
@@ -151,41 +167,28 @@ def evaluate(
     sessions = list(sessions)
     if not sessions:
         raise EmptyDatasetError("cannot evaluate an empty test set")
-    cfg = state.config
 
     hit_sum = 0.0
     rr_sum = 0.0
     n_transitions = 0
-    per_session: list[tuple[float, float, int]] = []
-
-    batches = make_batches(
-        sessions, batch_size=batch_size, max_len=cfg.max_len, pad_id=cfg.pad_id, trim=True
-    )
-    for batch in batches:
-        ranks = batch_target_ranks(state, batch, chunk_size)
+    rows = []  # per session with a transition: hit sum, rr sum, transitions
+    for batch, ranks in _ranked_batches(state, sessions, batch_size, chunk_size):
         hit, rr = rank_contributions(ranks, k)
         hits = np.where(batch.mask, hit, 0.0)
         rr = np.where(batch.mask, rr, 0.0)
-
         hit_sum += float(hits.sum())
         rr_sum += float(rr.sum())
         n_transitions += int(batch.mask.sum())
-        if average == "session":
-            for i in range(batch.size):
-                valid = int(batch.mask[i].sum())
-                if valid:
-                    per_session.append(
-                        (float(hits[i].sum()), float(rr[i].sum()), valid)
-                    )
+        ranked = batch.mask.any(axis=1)
+        rows.append((hits[ranked].sum(axis=1), rr[ranked].sum(axis=1),
+                     batch.mask[ranked].sum(axis=1)))
 
     if n_transitions == 0:
         raise EmptyDatasetError(f"no transition to rank in the {len(sessions)} test sessions")
     if average == "session":
-        recalls = [h / c for h, _, c in per_session]
-        mrrs = [r / c for _, r, c in per_session]
-        return EvalResult(
-            float(np.mean(recalls)), float(np.mean(mrrs)), k, n_transitions
-        )
+        row_hits, row_rr, counts = (np.concatenate(column) for column in zip(*rows))
+        return EvalResult(float(np.mean(row_hits / counts)), float(np.mean(row_rr / counts)),
+                          k, n_transitions)
     return EvalResult(hit_sum / n_transitions, rr_sum / n_transitions, k, n_transitions)
 
 

@@ -149,17 +149,11 @@ def forward(
     causal = np.triu(np.full((width, width), _NEG_INF), k=1)[None, None]
 
     def attention(h: Tensor, prefix: str) -> Tensor:
-        q = T.add(T.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        k = T.add(T.matmul(h, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-        v = T.add(T.matmul(h, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        if heads > 1:
-            q = T.transpose(T.reshape(q, (b, width, heads, dh)), (0, 2, 1, 3))
-            k = T.transpose(T.reshape(k, (b, width, heads, dh)), (0, 2, 1, 3))
-            v = T.transpose(T.reshape(v, (b, width, heads, dh)), (0, 2, 1, 3))
-        else:
-            q = T.reshape(q, (b, 1, width, dh))
-            k = T.reshape(k, (b, 1, width, dh))
-            v = T.reshape(v, (b, 1, width, dh))
+        def split(name):  # [b, W, d] projection -> [b, heads, W, dh]
+            proj = T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
+            return T.transpose(T.reshape(proj, (b, width, heads, dh)), (0, 2, 1, 3))
+
+        q, k, v = split("q"), split("k"), split("v")
         logits = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), Tensor(causal))
         weights = T.dropout(T.softmax(logits, axis=-1), cfg.dropout, rng, training)
         mixed = T.matmul(weights, v)

@@ -71,40 +71,6 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
 
-    # sugar; every operator delegates to a module-level op
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-mode accumulation from this tensor.
 
@@ -546,11 +512,6 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> 
         return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return mul(a, Tensor(mask))
-
-
-def parameter(data) -> Tensor:
-    """Convenience constructor for a leaf that accumulates gradients."""
-    return Tensor(data, requires_grad=True)
 
 
 # ---------------------------------------------------------------------------

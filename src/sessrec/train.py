@@ -232,38 +232,25 @@ def _json_array(value: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"), dtype=np.uint8)
 
 
-def stored_json(extra: dict[str, np.ndarray], key: str) -> dict:
-    """A run record (`trainer.config`, `trainer.manifest`) read back from a checkpoint."""
-    return json.loads(bytes(extra[key]).decode("utf-8"))
+def check_checkpoint(path, extra: dict[str, np.ndarray], **records: dict) -> None:
+    """Refuse a checkpoint whose run records differ from this run's.
 
-
-def first_difference(saved: dict, current: dict, exempt=()) -> str | None:
-    """The first key, in sorted order, whose JSON values differ; None if none does."""
-    current = json.loads(json.dumps(current))  # compare JSON to JSON
-    for key in sorted(saved.keys() | current.keys()):
-        if key not in exempt and saved.get(key) != current.get(key):
-            return key
-    return None
-
-
-def _check_resume(path, extra: dict[str, np.ndarray], config: dict, manifest: dict) -> None:
-    """Refuse to resume a checkpoint under another config or dataset.
-
-    Every resolved config key but `train.epochs` and every dataset manifest
-    key must equal the checkpoint's; the first that differs is named.
+    Each keyword names a record (`config`, `manifest`) that must be stored as
+    `trainer.<name>` in `extra` and equal `records[name]` key by key,
+    `train.epochs` aside. The first key that differs, in sorted order, is
+    named with both values.
     """
-    for name, current in (("config", config), ("manifest", manifest)):
-        key = f"trainer.{name}"
-        if key not in extra:
-            raise ConfigError(f"checkpoint {path} holds no {key}; it cannot be resumed")
-        saved = stored_json(extra, key)
-        field_name = first_difference(saved, current, exempt=("train.epochs",))
-        if field_name is not None:
-            raise ConfigError(
-                f"cannot resume from {path}: {name} key {field_name!r} is "
-                f"{saved.get(field_name)!r} in the checkpoint but "
-                f"{current.get(field_name)!r} in this run"
-            )
+    for name, current in records.items():
+        if f"trainer.{name}" not in extra:
+            raise ConfigError(f"checkpoint {path} holds no trainer.{name} to check this run against")
+        saved = json.loads(bytes(extra[f"trainer.{name}"]).decode("utf-8"))
+        current = json.loads(json.dumps(current))  # compare JSON to JSON
+        for key in sorted(saved.keys() | current.keys()):
+            if key != "train.epochs" and saved.get(key) != current.get(key):
+                raise ConfigError(
+                    f"checkpoint {path} does not fit this run: {name} key {key!r} is "
+                    f"{saved.get(key)!r} in the checkpoint but {current.get(key)!r} in this run"
+                )
 
 
 def train(
@@ -281,7 +268,7 @@ def train(
 
     if resume_from is not None:
         state, extra = M.load_checkpoint(resume_from)
-        _check_resume(resume_from, extra, config, manifest)
+        check_checkpoint(resume_from, extra, config=config, manifest=manifest)
     else:
         state = ModelState.initialize(model_config_from(config, n_items), seed=seed)
     optimizer = Adam(

@@ -69,6 +69,15 @@ class TestPrep:
             assert re.search(r"^error: holdout \d+ ms must be shorter than the data span \d+ ms$",
                              err, re.MULTILINE), err
 
+    def test_record_with_a_list_session_is_a_usage_error(self, tmp_path, raw_clicks, capsys):
+        lines = raw_clicks.read_text().splitlines()
+        lines.insert(3, json.dumps({"session": [2], "events": [{"aid": 1, "ts": 5, "type": "clicks"}]}))
+        raw_clicks.write_text("\n".join(lines) + "\n")
+        code = main(["prep", "--input", str(raw_clicks), "--output-dir", str(tmp_path / "out"),
+                     "--strict"])
+        assert code == 2
+        assert "error: line 4: " in capsys.readouterr().err
+
 
 TRAIN_ARGS = [
     "--model.hidden_dim", "8", "--model.num_layers", "1", "--data.max_len", "8",
@@ -210,8 +219,8 @@ class TestEvalVerb:
                      "--output-dir", str(tmp_path / "eval-out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"manifest key 'train_sessions' is {sessions + 1}, but the cache" in err
-        assert f"has {sessions}" in err
+        assert (f"checkpoint {other} does not fit this run: manifest key 'train_sessions' "
+                f"is {sessions + 1} in the checkpoint but {sessions} in this run") in err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):

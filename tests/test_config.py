@@ -64,6 +64,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             C.resolve(base={"negs.uniform.cont": 4})
 
+    @pytest.mark.parametrize("key", ["train.epochs", "negs.uniform.count", "loss", "model.prenorm"])
+    def test_null_rejected_where_the_default_is_not_null(self, key):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            C.resolve(base={key: None})
+
+    def test_null_kept_where_the_default_is_null(self):
+        cfg = C.resolve(base={"data.input": None, "train.preset": None})
+        assert cfg["data.input"] is None and cfg["train.preset"] is None
+
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError):
             C.resolve(overrides={"loss": "hinge"})

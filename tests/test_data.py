@@ -90,6 +90,27 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 2"):
             list(D.parse_events(path))
 
+    BAD_KEYS = [[2], {"id": 2}, None, True, 2.0]
+
+    @pytest.mark.parametrize("field", ["session", "aid"])
+    @pytest.mark.parametrize("key", BAD_KEYS, ids=["list", "object", "null", "bool", "float"])
+    def test_key_that_is_not_an_integer_or_string_is_rejected(self, tmp_path, field, key):
+        path = tmp_path / "keys.jsonl"
+        good = {"session": 1, "events": [{"aid": 1, "ts": 10, "type": "clicks"}]}
+        bad = {"session": 2, "events": [{"aid": 3, "ts": 20, "type": "clicks"}]}
+        if field == "session":
+            bad["session"] = key
+        else:
+            bad["events"].append({"aid": key, "ts": 21, "type": "clicks"})
+        path.write_text("\n".join(json.dumps(r) for r in (good, bad, good)) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: .*{field}") as err:
+            list(D.parse_events(path))
+        assert err.value.line_number == 2
+        stats = D.ParseStats()
+        events = list(D.parse_events(path, strict=False, stats=stats))
+        assert events == [D.Event(1, 1, 10, D.CLICK)] * 2
+        assert stats.skipped == 1 and stats.skipped_lines == [2]
+
     def test_csv_format(self, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_text("session_id,item_id,timestamp\n1,10,100\n1,11,200\n2,10,300\n")

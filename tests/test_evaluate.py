@@ -248,6 +248,24 @@ class TestEvaluate:
         # reciprocal ranks weight sessions differently
         assert by_transition.mrr_at_k != by_session.mrr_at_k
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 5, 256])
+    def test_session_average_matches_brute_force_oracle(self, batch_size):
+        state = toy_state(n_items=30, layers=2, seed=7)
+        sessions = toy_sessions(30, 11, seed=45, length=(2, 13))
+        # one-event sessions have no transition: they are left out of the average
+        for i, at in enumerate((0, 4, 9, 13)):
+            sessions.insert(at, Session(100 + i, [i + 1], [0]))
+        ranked = [s for s in sessions if len(s) > 1]
+        for k in (1, 5, 20):
+            # brute force over each session alone, then the plain mean over sessions
+            per_session = [brute_force_eval(state, [s], k)[:2] for s in ranked]
+            result = E.evaluate(state, sessions, k=k, batch_size=batch_size, average="session")
+            assert result.n_transitions == sum(min(len(s), 10) - 1 for s in ranked)
+            assert result.recall_at_k == pytest.approx(
+                np.mean([r for r, _ in per_session]), abs=1e-12)
+            assert result.mrr_at_k == pytest.approx(
+                np.mean([m for _, m in per_session]), abs=1e-12)
+
     def test_empty_test_set_rejected(self):
         with pytest.raises(EmptyDatasetError):
             E.evaluate(toy_state(5), [], k=2)

@@ -27,6 +27,49 @@ def batch_from(items_per_session, max_len, pad_id):
     return next(make_batches(sessions, batch_size=len(sessions), max_len=max_len, pad_id=pad_id))
 
 
+def numpy_encoder(state, items):
+    """Reference eval-mode encoder of one session in plain NumPy, [n, d].
+
+    Each head is a column slice of the q/k/v projections; position t
+    attends over positions 0..t of this session only.
+    """
+    cfg = state.config
+    p = {name: t.data for name, t in state.params.items()}
+    d, heads = cfg.hidden_dim, cfg.num_heads
+    dh = d // heads
+
+    def norm(x, prefix):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered**2).mean(axis=-1, keepdims=True)
+        return centered / np.sqrt(var + 1e-8) * p[f"{prefix}.gain"] + p[f"{prefix}.bias"]
+
+    def attention(h, prefix):
+        q, k, v = (h @ p[f"{prefix}.w{n}"] + p[f"{prefix}.b{n}"] for n in "qkv")
+        mixed = np.zeros_like(h)
+        for head in range(heads):
+            cols = slice(head * dh, (head + 1) * dh)
+            for t in range(len(h)):
+                logits = k[: t + 1, cols] @ q[t, cols] / np.sqrt(dh)
+                weights = np.exp(logits - logits.max())
+                mixed[t, cols] = weights / weights.sum() @ v[: t + 1, cols]
+        return mixed @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+    def feed_forward(h, prefix):
+        inner = np.maximum(h @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"], 0.0)
+        return inner @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
+
+    x = p["item_emb"][items] * np.sqrt(d) + p["pos_emb"][: len(items)]
+    for layer in range(cfg.num_layers):
+        lp = f"layers.{layer}"
+        if cfg.prenorm:
+            x = x + attention(norm(x, f"{lp}.ln1"), f"{lp}.attn")
+            x = x + feed_forward(norm(x, f"{lp}.ln2"), f"{lp}.ffn")
+        else:
+            x = norm(x + attention(x, f"{lp}.attn"), f"{lp}.ln1")
+            x = norm(x + feed_forward(x, f"{lp}.ffn"), f"{lp}.ln2")
+    return norm(x, "final") if cfg.prenorm else x
+
+
 class TestForward:
     def test_output_shape_contract(self):
         state = toy_state(n_items=30, d=200, layers=2, max_len=5)
@@ -71,6 +114,22 @@ class TestForward:
             state = toy_state(d=8, heads=heads, prenorm=prenorm)
             batch = batch_from([[1, 2, 3]], max_len=6, pad_id=12)
             assert M.forward(state, batch, mode="eval").shape == (1, 6, 8)
+
+    @pytest.mark.parametrize("prenorm", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_eval_forward_matches_numpy_reference(self, heads, prenorm):
+        state = toy_state(n_items=15, d=8, layers=2, max_len=7, dropout=0.3,
+                          heads=heads, seed=heads, prenorm=prenorm)
+        rng = np.random.default_rng(10 + heads)
+        for p in state.params.values():  # gains and biases away from 1 and 0
+            p.data = p.data + rng.normal(0.0, 0.3, size=p.shape)
+        sessions = [[1, 2, 3], [4, 5, 6, 7, 8, 9, 10], [11], [12, 13, 14, 0, 1]]
+        batch = batch_from(sessions, max_len=7, pad_id=15)
+        got = M.forward(state, batch, mode="eval").data
+        for i, items in enumerate(sessions):
+            # a session attends only within itself, so padding leaves its rows unchanged
+            want = numpy_encoder(state, np.array(items))
+            np.testing.assert_allclose(got[i, : len(items)], want, rtol=1e-10, atol=1e-12)
 
     def test_pad_row_gets_no_gradient_through_valid_positions(self):
         state = toy_state(n_items=10, dropout=0.0)

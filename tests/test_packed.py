@@ -202,7 +202,7 @@ def test_losses_take_the_mean_over_packed_positions():
 
 def test_take_rows_gradcheck():
     rng = np.random.default_rng(0)
-    a = T.parameter(rng.standard_normal((3, 4, 5)))
+    a = T.Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
     rows = np.array([0, 1, 2, 4, 5, 9])
     weights = rng.standard_normal((rows.size, 5))
     err = T.gradcheck(lambda: T.tsum(T.mul(T.take_rows(a, rows), weights)), [a])
@@ -211,7 +211,7 @@ def test_take_rows_gradcheck():
 
 def test_take_rows_of_a_transposed_block():
     rng = np.random.default_rng(1)
-    a = T.parameter(rng.standard_normal((2, 5, 3)))
+    a = T.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     rows = np.array([0, 1, 3, 4])
     weights = rng.standard_normal((rows.size, 5))
     picked = T.take_rows(T.transpose(a, (0, 2, 1)), rows)  # [b, W, k] view of [b, k, W]
@@ -223,7 +223,7 @@ def test_take_rows_of_a_transposed_block():
 
 
 def test_take_rows_leaves_unpicked_rows_exactly_zero():
-    a = T.parameter(np.ones((2, 3, 4)))
+    a = T.Tensor(np.ones((2, 3, 4)), requires_grad=True)
     T.tsum(T.take_rows(a, np.array([1, 3]))).backward()
     picked = np.zeros((2, 3), dtype=bool)
     picked.flat[[1, 3]] = True

@@ -1,6 +1,7 @@
 """Optimizer oracles, determinism, draw accounting, checkpointing, resume."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -248,7 +249,9 @@ class TestCheckpointing:
         ds = toy_dataset()
         TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
         path = tmp_path / "ckpt" / "epoch-1.bin"
-        with pytest.raises(ConfigError, match="config key 'loss' is 'ssm' in the checkpoint but 'bce'"):
+        message = (f"checkpoint {path} does not fit this run: "
+                   "config key 'loss' is 'ssm' in the checkpoint but 'bce' in this run")
+        with pytest.raises(ConfigError, match=re.escape(message)):
             TR.train(toy_config(loss="bce"), ds, resume_from=path)
 
     def test_resume_refuses_another_dataset(self, tmp_path):
