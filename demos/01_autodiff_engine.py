@@ -28,7 +28,7 @@ print("softmax([1000,0,-1000]) =", s.data, "sum =", s.data.sum())
 
 # Every differentiable op is validated against central finite differences.
 w.zero_grad()
-err = T.gradcheck(lambda: T.tsum(T.softplus(T.matmul(w, x))), [w])
+err = T.gradcheck(lambda: T.tsum(T.relu(T.matmul(w, x))), [w])
 print(f"finite-difference relative error: {err:.2e}")
 
 # Embedding-style gathers scatter-add their gradients back into the table.

@@ -3,7 +3,8 @@
 A miniature experiment grid on a synthetic clickstream with
 popularity skew and hidden successor structure. Expect the listwise loss to
 beat pointwise BCE decisively, and top-k filtering to hold or improve recall
-while shrinking the backward pass. Runs a couple of minutes on CPU.
+while shrinking the backward pass. Runs in about 50 s on one CPU core
+with one OpenBLAS thread.
 """
 
 import time

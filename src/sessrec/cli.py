@@ -79,14 +79,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return C.resolve(base=base, preset=args.preset, overrides=overrides)
 
 
-def _input_path(config: dict, required: bool = True) -> Path:
+def _input_path(config: dict) -> Path:
     raw = config["data.input"] or os.environ.get(DATA_DIR_ENV)
     if raw is None:
-        if required:
-            raise SessrecError(
-                f"no input given: pass --input or set ${DATA_DIR_ENV}"
-            )
-        return None
+        raise SessrecError(f"no input given: pass --input or set ${DATA_DIR_ENV}")
     return Path(raw)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -419,11 +420,20 @@ def save_prepared(dataset: PreparedDataset, out_dir) -> None:
         fh.write("\n")
 
 
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Every array of the `.npz` archive at `path`; CacheError names a file
+    that is not a whole archive (e.g. truncated)."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            return {key: blob[key] for key in blob.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise CacheError(f"{path} is not a readable .npz archive ({exc})") from None
+
+
 def load_prepared(in_dir) -> PreparedDataset:
     """Read a cache written by `save_prepared`; CacheError names a part that disagrees."""
     path = Path(in_dir)
-    with np.load(path / "data.npz", allow_pickle=False) as blob:
-        arrays = {key: blob[key] for key in blob.files}
+    arrays = load_arrays(path / "data.npz")
     with open(path / "catalog.json", "r", encoding="utf-8") as fh:
         keys = json.load(fh)
     if not isinstance(keys, list):

@@ -50,4 +50,5 @@ class DivergenceError(SessrecError, RuntimeError):
 
 
 class CacheError(SessrecError, ValueError):
-    """A prepared-dataset cache whose parts disagree; names the array or key at fault."""
+    """On-disk state (a prepared cache or a checkpoint) that cannot be read, or
+    whose parts disagree; names the file, array or key at fault."""

@@ -18,10 +18,11 @@ The values repeat the arithmetic of the composed graph kept in
 differ from that graph's in the last digit.
 
 Training passes only a batch's valid positions, [P] positive and [P, K]
-negative scores, and no mask. Padded [b, W] blocks take a validity `mask`:
-only the valid positions are computed, so scores where it is false never
-contribute to the value or the gradient, even if they are garbage (e.g.
-produced from padding).
+negative scores, and no mask. Padded [b, W] blocks take a validity `mask`,
+and the loss first packs their valid rows with `T.take_rows`: the value and
+the gradient at valid slots are then the packed call's bit for bit, and
+scores where the mask is false are never read and get exactly zero gradient,
+even if they are garbage (e.g. produced from padding).
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from .tensor import Tensor
 _TINY = np.finfo(np.float64).tiny
 
 
-def _check(pos: Tensor, negs: Tensor, mask) -> np.ndarray | None:
+# kernel(p [P], n [P, K], scale) -> (per-position losses [P], d/dp [P], d/dn [P, K]);
+# the gradients are of `scale * sum(losses)`
+Kernel = Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _fused(pos: Tensor, negs: Tensor, mask, kernel: Kernel) -> Tensor:
+    """Mean of `kernel`'s per-position losses over the valid positions, as one node."""
     if negs.ndim != pos.ndim + 1 or negs.shape[:-1] != pos.shape:
         raise ValueError(
             f"negs must have one trailing negative axis over pos: {pos.shape} vs {negs.shape}"
@@ -46,34 +53,15 @@ def _check(pos: Tensor, negs: Tensor, mask) -> np.ndarray | None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != pos.shape:
             raise ValueError(f"mask shape {mask.shape} != pos shape {pos.shape}")
-    return mask
-
-
-# kernel(p [P], n [P, K], scale) -> (per-position losses [P], d/dp [P], d/dn [P, K]);
-# the gradients are of `scale * sum(losses)`
-Kernel = Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def _fused(pos: Tensor, negs: Tensor, mask, kernel: Kernel) -> Tensor:
-    """Mean of `kernel`'s per-position losses over the valid positions, as one node."""
-    mask = _check(pos, negs, mask)
-    k = negs.shape[-1]
+        # pack the valid rows; masked slots are never read and get zero gradient
+        rows = np.flatnonzero(mask)
+        pos = T.take_rows(T.reshape(pos, pos.shape + (1,)), rows)
+        negs = T.take_rows(negs, rows)
     flat_pos = pos.data.reshape(-1)
-    flat_negs = negs.data.reshape(-1, k)
-    rows = None if mask is None else np.flatnonzero(mask)
-    if rows is not None:
-        flat_pos, flat_negs = flat_pos[rows], flat_negs[rows]
     if flat_pos.size == 0:
         raise ValueError("no valid positions to average over")
     scale = 1.0 / float(flat_pos.size)
-    per_pos, grad_pos, grad_negs = kernel(flat_pos, flat_negs, scale)
-    if rows is not None:
-        # masked positions add exact zeros, and get zero gradient
-        per_pos, grad_pos, grad_negs = (
-            _scatter(rows, per_pos, pos.shape),
-            _scatter(rows, grad_pos, pos.shape),
-            _scatter(rows, grad_negs, negs.shape),
-        )
+    per_pos, grad_pos, grad_negs = kernel(flat_pos, negs.data.reshape(-1, negs.shape[-1]), scale)
     out = np.asarray(per_pos.sum() * scale)
     grad_pos = grad_pos.reshape(pos.shape)
     grad_negs = grad_negs.reshape(negs.shape)
@@ -84,12 +72,6 @@ def _fused(pos: Tensor, negs: Tensor, mask, kernel: Kernel) -> Tensor:
         return g * grad_pos, g * grad_negs
 
     return T._wire(out, (pos, negs), backward)
-
-
-def _scatter(rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    full = np.zeros(shape)
-    full.reshape(-1, *values.shape[1:])[rows] = values
-    return full
 
 
 def _exp_neg_abs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

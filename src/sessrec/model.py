@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .data import SessionBatch, atomic_write
-from .errors import ConfigError, ItemIdError, ShapeError
+from .data import SessionBatch, atomic_write, load_arrays
+from .errors import CacheError, ConfigError, ShapeError
 from .sampler import NegativeSet, rng_stream
 from .tensor import Tensor
 
@@ -134,9 +133,6 @@ def forward(
     b, width = ids.shape
     if width > cfg.max_len:
         raise ShapeError(f"batch width {width} exceeds model max_len {cfg.max_len}")
-    if ids.max() > cfg.pad_id or ids.min() < 0:
-        bad = ids[(ids > cfg.pad_id) | (ids < 0)].flat[0]
-        raise ItemIdError(f"item id {int(bad)} outside vocabulary [0, {cfg.pad_id}]")
 
     p = state.params
     d, heads = cfg.hidden_dim, cfg.num_heads
@@ -287,17 +283,22 @@ def save_checkpoint(state: ModelState, path, extra: dict[str, np.ndarray] | None
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
-    with np.load(Path(path), allow_pickle=False) as blob:
-        header = json.loads(bytes(blob["__header__"]).decode("utf-8"))
-        if header["format"] != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {header['format']}")
-        config = ModelConfig(**header["config"])
-        params = {
-            name: Tensor(blob[name].copy(), requires_grad=True) for name in header["params"]
-        }
-        extra = {
-            key: blob[key].copy()
-            for key in blob.files
-            if key != "__header__" and key not in params
-        }
-    return ModelState(config, params), extra
+    """The state and extra arrays of a `save_checkpoint` file. CacheError names
+    the key of a missing header or parameter, or of a parameter whose shape is
+    not the one `ModelState.initialize` lays out for the header's config."""
+    extra = load_arrays(path)
+    if "__header__" not in extra:
+        raise CacheError(f"checkpoint {path} holds no '__header__'")
+    header = json.loads(bytes(extra.pop("__header__")).decode("utf-8"))
+    if header["format"] != CHECKPOINT_FORMAT:
+        raise ConfigError(f"unsupported checkpoint format {header['format']}")
+    state = ModelState.initialize(ModelConfig(**header["config"]))
+    for name, param in state.params.items():
+        stored = extra.pop(name, None)
+        if stored is None:
+            raise CacheError(f"checkpoint {path} holds no parameter {name!r}")
+        if stored.shape != param.shape:
+            raise CacheError(f"checkpoint {path} parameter {name!r} has shape {stored.shape}, "
+                             f"but its config lays out {param.shape}")
+        state.params[name] = Tensor(stored, requires_grad=True)
+    return state, extra

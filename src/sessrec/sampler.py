@@ -139,10 +139,6 @@ class TopKSelection:
     scores: Tensor
 
 
-def _catalog_size(catalog) -> int:
-    return int(catalog) if isinstance(catalog, (int, np.integer)) else int(catalog.n_items)
-
-
 def _shape_for(granularity: Granularity, count: int, batch_size, seq_len) -> tuple[int, int, int]:
     granularity = Granularity(granularity)
     if granularity is Granularity.BATCHWISE:
@@ -168,7 +164,7 @@ def sample_uniform(
 ) -> NegativeSet:
     """IID uniform draws over the whole catalog; positives are not excluded."""
     _check_count(count)
-    n_items = _catalog_size(catalog)
+    n_items = int(catalog)
     if n_items < 1:
         raise ConfigError("cannot sample from an empty catalog")
     shape = _shape_for(granularity, count, batch_size, seq_len)
@@ -215,11 +211,7 @@ def sample_frequency(
 ) -> NegativeSet:
     """IID draws proportional to empirical interaction frequency."""
     _check_count(count)
-    if isinstance(catalog, AliasTable):
-        table = catalog
-    else:
-        weights = catalog.frequencies if hasattr(catalog, "frequencies") else np.asarray(catalog)
-        table = AliasTable(weights)
+    table = catalog if isinstance(catalog, AliasTable) else AliasTable(catalog)
     return NegativeSet(table.sample(rng, _shape_for(granularity, count, batch_size, seq_len)))
 
 

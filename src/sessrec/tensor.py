@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: only the operations needed by a causal self-attention
-recommender are provided (matrix multiply, elementwise arithmetic with NumPy
-broadcasting, softmax, layer norm, embedding gather, concatenation, masked
-dropout, pointwise nonlinearities, reductions). The reference numeric type is
-float64 so that finite-difference gradient checks are meaningful.
+Deliberately small: only the operations the library runs are provided
+(matrix multiply, addition and multiplication with NumPy broadcasting, ReLU,
+sum, reshape, transpose, softmax, layer norm, embedding gather, row and
+top-k picks, concatenation, dropout). The finer ops that only the tests
+compose into reference graphs live in `tests/composed.py`. The reference
+numeric type is float64 so that finite-difference gradient checks are
+meaningful.
 
 `layer_norm` is one node with an analytic backward; its forward repeats the
 composed graph's arithmetic, so its outputs are bit-identical to it. A
@@ -168,19 +170,6 @@ def add(a, b) -> Tensor:
     return _wire(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _wire(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -222,49 +211,8 @@ def matmul(a, b) -> Tensor:
     return _wire(out, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    """Elementwise a**exponent for a constant exponent."""
-    a = as_tensor(a)
-    out = a.data**exponent
-
-    def backward(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _wire(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _wire(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _wire(out, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _wire(out, (a,), backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -273,18 +221,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # numerator (faster than np.where over mixed signs)
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), computed as max(x, 0) + log1p(e^-|x|)."""
-    a = as_tensor(a)
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g):
-        return (g * _sigmoid(x),)
-
-    return _wire(out, (a,), backward)
 
 
 def relu(a) -> Tensor:
@@ -312,12 +248,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _wire(out, (a,), backward)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
 def reshape(a, shape) -> Tensor:
@@ -491,18 +421,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return np.split(g, bounds, axis=axis)
 
     return _wire(out, tensors, backward)
-
-
-def where_mask(mask, a, fill: float = 0.0) -> Tensor:
-    """Keep `a` where mask is true, else `fill`; masked-out grads are exactly 0."""
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.where(mask, a.data, fill)
-
-    def backward(g):
-        return (_unbroadcast(g * mask, a.shape),)
-
-    return _wire(out, (a,), backward)
 
 
 def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:

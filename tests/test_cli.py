@@ -223,6 +223,22 @@ class TestEvalVerb:
                 f"is {sessions + 1} in the checkpoint but {sessions} in this run") in err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
+    @pytest.mark.parametrize("verb,truncated", [("eval", "data.npz"), ("eval", "checkpoint"),
+                                                ("train", "data.npz")])
+    def test_truncated_file_is_a_usage_error(self, tmp_path, prepared, capsys, verb, truncated):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        checkpoint = run / "ckpt" / "epoch-1.bin"
+        path = checkpoint if truncated == "checkpoint" else prepared / "data.npz"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        capsys.readouterr()
+        args = {"eval": ["--checkpoint", str(checkpoint)], "train": TRAIN_ARGS}[verb]
+        code = main([verb, "--input", str(prepared), "--output-dir", str(tmp_path / "out"), *args])
+        assert code == 2
+        assert f"error: {path} is not a readable .npz archive" in capsys.readouterr().err
+
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),

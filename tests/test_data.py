@@ -445,6 +445,13 @@ class TestCacheValidation:
                                              f"but the cached arrays hold {count}"):
             D.load_prepared(tmp_path)
 
+    def test_truncated_archive_names_the_file(self, tmp_path):
+        self._corrupt(tmp_path)
+        whole = (tmp_path / "data.npz").read_bytes()
+        (tmp_path / "data.npz").write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(CacheError, match="data.npz is not a readable .npz archive"):
+            D.load_prepared(tmp_path)
+
     def test_catalog_in_old_mapping_format(self, tmp_path):
         self._corrupt(tmp_path)
         keys = json.loads((tmp_path / "catalog.json").read_text())

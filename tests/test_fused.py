@@ -1,7 +1,7 @@
 """Fused graph nodes pinned to the composed graphs they replace.
 
 The references below are the earlier forms, built from fine-grained autodiff
-ops: the three losses with their masked mean, `layer_norm` in eleven nodes,
+ops (`composed`): the three losses with their masked mean, `layer_norm` in eleven nodes,
 and a matmul whose shared-weight gradient is one product per batch entry
 summed down. Tolerances were fixed before the kernels were written:
 
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed as C
 from sessrec import loss as L
 from sessrec import tensor as T
 from sessrec.errors import NumericError
@@ -35,23 +36,23 @@ def masked_mean_reference(per_position, mask):
         raise ValueError("no valid positions to average over")
     if mask is None:
         return T.mul(T.tsum(per_position), 1.0 / count)
-    return T.mul(T.tsum(T.where_mask(mask, per_position)), 1.0 / count)
+    return T.mul(T.tsum(C.where_mask(mask, per_position)), 1.0 / count)
 
 
 def bce_reference(pos, negs, mask=None):
     mask = None if mask is None else np.asarray(mask, dtype=bool)
-    per_pos = T.add(T.softplus(T.mul(pos, -1.0)), T.tsum(T.softplus(negs), axis=-1))
+    per_pos = T.add(C.softplus(T.mul(pos, -1.0)), T.tsum(C.softplus(negs), axis=-1))
     return masked_mean_reference(per_pos, mask)
 
 
 def bpr_max_reference(pos, negs, lambda_reg=1.0, mask=None):
     mask = None if mask is None else np.asarray(mask, dtype=bool)
     weights = T.softmax(negs, axis=-1)
-    diffs = T.sub(T.reshape(pos, pos.shape + (1,)), negs)
-    ranking = T.tsum(T.mul(weights, T.sigmoid(diffs)), axis=-1)
+    diffs = C.sub(T.reshape(pos, pos.shape + (1,)), negs)
+    ranking = T.tsum(T.mul(weights, C.sigmoid(diffs)), axis=-1)
     if mask is not None:
-        ranking = T.where_mask(mask, ranking, fill=1.0)
-    per_pos = T.mul(T.log(ranking), -1.0)
+        ranking = C.where_mask(mask, ranking, fill=1.0)
+    per_pos = T.mul(C.log(ranking), -1.0)
     if lambda_reg != 0.0:
         reg = T.tsum(T.mul(weights, T.mul(negs, negs)), axis=-1)
         per_pos = T.add(per_pos, T.mul(reg, lambda_reg))
@@ -61,19 +62,19 @@ def bpr_max_reference(pos, negs, lambda_reg=1.0, mask=None):
 def ssm_reference(pos, negs, mask=None):
     mask = None if mask is None else np.asarray(mask, dtype=bool)
     shift = np.maximum(pos.data, negs.data.max(axis=-1))
-    pos_e = T.exp(T.sub(pos, shift))
-    neg_e = T.tsum(T.exp(T.sub(negs, shift[..., None])), axis=-1)
-    log_denom = T.log(T.add(pos_e, neg_e))
-    per_pos = T.sub(T.add(log_denom, Tensor(shift)), pos)
+    pos_e = C.exp(C.sub(pos, shift))
+    neg_e = T.tsum(C.exp(C.sub(negs, shift[..., None])), axis=-1)
+    log_denom = C.log(T.add(pos_e, neg_e))
+    per_pos = C.sub(T.add(log_denom, Tensor(shift)), pos)
     return masked_mean_reference(per_pos, mask)
 
 
 def layer_norm_reference(a, gain, bias, eps=1e-8):
     a, gain, bias = T.as_tensor(a), T.as_tensor(gain), T.as_tensor(bias)
-    mu = T.mean(a, axis=-1, keepdims=True)
-    centered = T.sub(a, mu)
-    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv = T.power(T.add(var, eps), -0.5)
+    mu = C.mean(a, axis=-1, keepdims=True)
+    centered = C.sub(a, mu)
+    var = C.mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = C.power(T.add(var, eps), -0.5)
     normalized = T.mul(centered, inv)
     return T.add(T.mul(normalized, gain), bias)
 
@@ -175,6 +176,26 @@ class TestFusedLosses:
         np.testing.assert_allclose(value, ref_value, rtol=LOSS_RTOL, atol=0)
         np.testing.assert_allclose(grad_pos, ref_pos, rtol=0, atol=GRAD_ATOL)
         np.testing.assert_allclose(grad_negs, ref_negs, rtol=0, atol=GRAD_ATOL)
+
+    @pytest.mark.parametrize("name,fused,reference", LOSSES, ids=IDS)
+    def test_masked_equals_packed_call_on_the_valid_rows(self, name, fused, reference):
+        # a mask only picks rows: the value and the valid slots' gradients are
+        # the packed call's bit for bit, and the NaN at masked slots is never read
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            batch, width, k = rng.integers(1, 6), rng.integers(1, 13), rng.integers(1, 9)
+            lengths = rng.integers(0, width + 1, size=batch)
+            lengths[rng.integers(batch)] = rng.integers(1, width + 1)
+            mask = np.arange(width) < lengths[:, None]
+            pos = rng.normal(size=(batch, width)) * 3.0
+            negs = rng.normal(size=(batch, width, k)) * 3.0
+            pos[~mask], negs[~mask] = np.nan, np.nan
+            value, grad_pos, grad_negs = run(fused, pos, negs, mask)
+            packed_value, packed_pos, packed_negs = run(fused, pos[mask], negs[mask])
+            assert value == packed_value
+            np.testing.assert_array_equal(grad_pos[mask], packed_pos)
+            np.testing.assert_array_equal(grad_negs[mask], packed_negs)
+            assert np.all(grad_pos[~mask] == 0.0) and np.all(grad_negs[~mask] == 0.0)
 
     @pytest.mark.parametrize("name,fused,reference", LOSSES, ids=IDS)
     def test_training_shapes_value_is_bit_identical(self, name, fused, reference):

@@ -10,7 +10,7 @@ from sessrec import model as M
 from sessrec import sampler as S
 from sessrec import tensor as T
 from sessrec.data import Session, make_batches
-from sessrec.errors import ItemIdError
+from sessrec.errors import CacheError, ItemIdError
 from sessrec.sampler import Granularity, NegativeSet, rng_stream
 
 
@@ -296,3 +296,41 @@ class TestCheckpoint:
         state = toy_state()
         with pytest.raises(ValueError):
             M.save_checkpoint(state, tmp_path / "x.bin", {"item_emb": np.zeros(2)})
+
+    def _rewritten(self, tmp_path, change):
+        """A saved toy checkpoint whose arrays `change` edited in place."""
+        path = tmp_path / "epoch-1.bin"
+        M.save_checkpoint(toy_state(d=8), path)
+        with np.load(path) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        change(arrays)
+        with open(path, "wb") as fh:  # a path would get ".npz" appended
+            np.savez(fh, **arrays)
+        return path
+
+    def test_truncated_file_names_the_file(self, tmp_path):
+        path = tmp_path / "epoch-1.bin"
+        M.save_checkpoint(toy_state(), path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(CacheError, match=f"{path} is not a readable .npz archive"):
+            M.load_checkpoint(path)
+
+    def test_missing_header_is_named(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda arrays: arrays.pop("__header__"))
+        with pytest.raises(CacheError, match="holds no '__header__'"):
+            M.load_checkpoint(path)
+
+    def test_missing_parameter_is_named(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda arrays: arrays.pop("layers.0.ffn.w1"))
+        with pytest.raises(CacheError, match="holds no parameter 'layers.0.ffn.w1'"):
+            M.load_checkpoint(path)
+
+    def test_parameter_of_another_shape_is_named(self, tmp_path):
+        def narrow(arrays):
+            arrays["layers.0.attn.wq"] = arrays["layers.0.attn.wq"][:, :4]
+
+        path = self._rewritten(tmp_path, narrow)
+        with pytest.raises(CacheError, match=r"parameter 'layers.0.attn.wq' has shape \(8, 4\), "
+                                             r"but its config lays out \(8, 8\)"):
+            M.load_checkpoint(path)
