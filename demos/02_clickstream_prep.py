@@ -40,7 +40,8 @@ with tempfile.TemporaryDirectory(prefix="sessrec-demo-") as tmp:
     print("manifest:", dataset.manifest())
 
     D.save_prepared(dataset, workdir / "prepared")
-    # Loading checks offsets, id range, frequencies and catalog size.
+    # One archive holds the columns and the catalog; loading checks offsets,
+    # id range and catalog keys, and counts the frequencies from train.
     reloaded = D.load_prepared(workdir / "prepared")
     print("cache round-trip OK:", reloaded.manifest() == dataset.manifest())
 

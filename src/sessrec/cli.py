@@ -194,9 +194,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    rows = _export_metrics(report["epochs"], args.output)
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            epochs = json.load(fh)["epochs"]
+        rows = _export_metrics(epochs, args.output)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON
+        raise SessrecError(f"report {args.report} is not a train report ({exc!r})") from None
     if not rows:
         raise SessrecError(f"report {args.report} holds no evaluation entries")
     log(f"wrote {rows} rows to {args.output}")

@@ -13,7 +13,8 @@ timestamp) of the click events. It alternately removes items below a minimum
 support and sessions below a minimum length until a fixpoint, keeps the
 sessions ending in the trailing holdout window for testing, and builds the
 catalog (dense ids and empirical frequencies) from the training portion
-only. The cache stores the same columns with per-session offsets.
+only. The cache is one archive of the same columns with per-session
+offsets, plus the catalog's raw keys.
 """
 
 from __future__ import annotations
@@ -388,9 +389,11 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def save_prepared(dataset: PreparedDataset, out_dir) -> None:
-    """Columnar cache (.npz, session ids as JSON texts), the catalog's raw keys
-    in dense-id order, and a plain-text manifest with the count summary; each
-    file is written atomically. Raw ids keep their JSON types."""
+    """One `.npz` archive, written atomically, of what cannot be recomputed:
+    per split the items, timestamps, offsets and session ids, and the
+    catalog's raw item keys in dense-id order. Raw ids are stored as their
+    JSON texts, so they keep their JSON types. `manifest.json`, written after
+    it, is a count summary for people; nothing reads it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -398,26 +401,26 @@ def save_prepared(dataset: PreparedDataset, out_dir) -> None:
         items = np.concatenate([np.asarray(s.items, dtype=np.int64) for s in sessions])
         ts = np.concatenate([np.asarray(s.timestamps, dtype=np.int64) for s in sessions])
         offsets = np.cumsum([0] + [len(s) for s in sessions]).astype(np.int64)
-        # each raw id's JSON text; for an int that is str(), which is faster
-        sids = np.array([str(sid) if type(sid) is int else json.dumps(sid)
-                         for sid in (s.session_id for s in sessions)])
-        return items, ts, offsets, sids
+        return items, ts, offsets, _json_texts(s.session_id for s in sessions)
 
     tr = pack(dataset.train)
     te = pack(dataset.test)
+    keys = sorted(dataset.catalog.id_map, key=dataset.catalog.id_map.__getitem__)
     with atomic_write(out / "data.npz") as fh:
         np.savez(
             fh,
             train_items=tr[0], train_ts=tr[1], train_offsets=tr[2], train_sids=tr[3],
             test_items=te[0], test_ts=te[1], test_offsets=te[2], test_sids=te[3],
-            frequencies=dataset.catalog.frequencies,
+            catalog=_json_texts(keys),
         )
-    keys = sorted(dataset.catalog.id_map, key=dataset.catalog.id_map.__getitem__)
-    with atomic_write(out / "catalog.json", "w") as fh:
-        json.dump(keys, fh)
     with atomic_write(out / "manifest.json", "w") as fh:
         json.dump(dataset.manifest(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _json_texts(raw_ids: Iterable) -> np.ndarray:
+    # for an int the JSON text is str(), which is faster
+    return np.array([str(raw) if type(raw) is int else json.dumps(raw) for raw in raw_ids])
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
@@ -430,75 +433,66 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise CacheError(f"{path} is not a readable .npz archive ({exc})") from None
 
 
+CACHE_ARRAYS = ("catalog",) + tuple(f"{prefix}_{column}" for prefix in ("train", "test")
+                                    for column in ("items", "ts", "offsets", "sids"))
+
+
 def load_prepared(in_dir) -> PreparedDataset:
-    """Read a cache written by `save_prepared`; CacheError names a part that disagrees."""
-    path = Path(in_dir)
-    arrays = load_arrays(path / "data.npz")
-    with open(path / "catalog.json", "r", encoding="utf-8") as fh:
-        keys = json.load(fh)
-    if not isinstance(keys, list):
-        raise CacheError(
-            "catalog.json is not a list of raw item keys (a cache from an older "
-            "version?); re-run `sessrec prep`"
-        )
+    """Read the archive written by `save_prepared`, and no other file: the
+    catalog size is the length of `catalog`, the frequencies are the train
+    items' counts. CacheError names the array or entry at fault."""
+    path = Path(in_dir) / "data.npz"
+    arrays = load_arrays(path)
+    for name in CACHE_ARRAYS:
+        if name not in arrays:
+            raise CacheError(f"{path} holds no array {name!r} (a cache from an older version?); "
+                             "re-run `sessrec prep`")
+    keys = _raw_ids(arrays["catalog"].tolist(), path, "catalog")
     try:
         id_map = {key: dense for dense, key in enumerate(keys)}
     except TypeError as exc:
-        raise CacheError(f"catalog.json holds a key that is not a raw item id ({exc})") from None
+        raise CacheError(f"{path} catalog holds a key that is not a raw item id ({exc})") from None
     if len(id_map) != len(keys):
         repeated = next(key for dense, key in enumerate(keys) if id_map[key] != dense)
-        raise CacheError(f"catalog.json repeats raw item key {repeated!r}")
-    frequencies = arrays["frequencies"]
-    n_items = len(frequencies)
-    if len(id_map) != n_items:
-        raise CacheError(f"catalog.json holds {len(id_map)} items but frequencies {n_items}")
+        raise CacheError(f"{path} catalog repeats raw item key {repeated!r}")
+    n_items = len(keys)
     splits = []
     for prefix in ("train", "test"):
         items, ts = arrays[f"{prefix}_items"], arrays[f"{prefix}_ts"]
         offsets, sids = arrays[f"{prefix}_offsets"], arrays[f"{prefix}_sids"]
         if len(ts) != len(items):
-            raise CacheError(f"{prefix}_ts has {len(ts)} entries, {prefix}_items {len(items)}")
+            raise CacheError(f"{path} {prefix}_ts has {len(ts)} entries, "
+                             f"{prefix}_items {len(items)}")
         if (len(offsets) != len(sids) + 1 or offsets[0] != 0
                 or (np.diff(offsets) < 0).any() or offsets[-1] != len(items)):
             raise CacheError(
-                f"{prefix}_offsets must rise monotonically from 0 to len({prefix}_items)="
+                f"{path} {prefix}_offsets must rise monotonically from 0 to len({prefix}_items)="
                 f"{len(items)} in len({prefix}_sids)+1={len(sids) + 1} steps"
             )
         bad = (items < 0) | (items >= n_items)
         if bad.any():
-            raise CacheError(f"{prefix}_items holds id {int(items[bad][0])} outside [0, {n_items})")
-        splits.append(columns_to_sessions(_session_ids(sids.tolist(), f"{prefix}_sids"),
+            raise CacheError(f"{path} {prefix}_items holds id {int(items[bad][0])} "
+                             f"outside [0, {n_items})")
+        splits.append(columns_to_sessions(_raw_ids(sids.tolist(), path, f"{prefix}_sids"),
                                           items, ts, offsets))
-    if not np.array_equal(frequencies, np.bincount(arrays["train_items"], minlength=n_items)):
-        raise CacheError("frequencies differ from np.bincount(train_items)")
-    with open(path / "manifest.json", "r", encoding="utf-8") as fh:
-        written = json.load(fh)
-    counts = {"n_items": n_items}
-    for prefix in ("train", "test"):
-        counts[f"{prefix}_sessions"] = len(arrays[f"{prefix}_sids"])
-        counts[f"{prefix}_events"] = len(arrays[f"{prefix}_items"])
-    for key, count in counts.items():
-        if written.get(key) != count:
-            raise CacheError(
-                f"manifest.json gives {key} = {written.get(key)!r} but the cached arrays hold {count}"
-            )
+    frequencies = np.bincount(arrays["train_items"], minlength=n_items)
     return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))
 
 
-def _session_ids(texts: list[str], name: str) -> list:
-    """Decode the JSON texts of raw session ids; CacheError names a bad entry."""
+def _raw_ids(texts: list[str], path: Path, name: str) -> list:
+    """Decode the JSON texts of raw session or item ids; CacheError names a bad entry."""
     try:
         ids = json.loads(f"[{','.join(texts)}]")
         if len(ids) == len(texts):
             return ids
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: an entry that is not a text
         pass
     for i, text in enumerate(texts):
         try:
             json.loads(text)
-        except ValueError:
+        except (TypeError, ValueError):
             break
     raise CacheError(
-        f"data.npz {name}[{i}] is {text!r}, not the JSON text of a raw session id "
+        f"{path} {name}[{i}] is {text!r}, not the JSON text of a raw id "
         "(a cache from an older version?); re-run `sessrec prep`"
     )

@@ -282,6 +282,18 @@ def save_checkpoint(state: ModelState, path, extra: dict[str, np.ndarray] | None
         np.savez(fh, __header__=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), **payload)
 
 
+def checkpoint_record(path, extra: dict[str, np.ndarray], key: str) -> dict:
+    """The JSON object stored as UTF-8 bytes under `key`; CacheError names a
+    record that is not one."""
+    try:
+        record = json.loads(bytes(extra[key]).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise CacheError(f"checkpoint {path} record {key!r} is not UTF-8 JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise CacheError(f"checkpoint {path} record {key!r} is not a JSON object")
+    return record
+
+
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     """The state and extra arrays of a `save_checkpoint` file. CacheError names
     the key of a missing header or parameter, or of a parameter whose shape is
@@ -289,10 +301,19 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     extra = load_arrays(path)
     if "__header__" not in extra:
         raise CacheError(f"checkpoint {path} holds no '__header__'")
-    header = json.loads(bytes(extra.pop("__header__")).decode("utf-8"))
+    header = checkpoint_record(path, extra, "__header__")
+    del extra["__header__"]
+    for key in ("format", "config"):
+        if key not in header:
+            raise CacheError(f"checkpoint {path} header holds no {key!r}")
     if header["format"] != CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {header['format']}")
-    state = ModelState.initialize(ModelConfig(**header["config"]))
+    try:
+        config = ModelConfig(**header["config"])
+    except TypeError as exc:
+        raise CacheError(f"checkpoint {path} header 'config' does not fit ModelConfig "
+                         f"({exc})") from None
+    state = ModelState.initialize(config)
     for name, param in state.params.items():
         stored = extra.pop(name, None)
         if stored is None:

@@ -19,7 +19,7 @@ import numpy as np
 from . import config as C
 from . import model as M
 from .data import PreparedDataset, atomic_write, make_batches
-from .errors import ConfigError, DivergenceError, PoolExhaustedError
+from .errors import CacheError, ConfigError, DivergenceError, PoolExhaustedError
 from .loss import get_loss
 from .model import ModelConfig, ModelState
 from .sampler import (
@@ -91,6 +91,17 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore `state_arrays`; CacheError names a missing array or a moment
+        whose shape is not its parameter's, before any state changes."""
+        if "opt.step" not in arrays:
+            raise CacheError("optimizer state has no 'opt.step'")
+        for name, p in self.params.items():
+            for key in (f"opt.m.{name}", f"opt.v.{name}"):
+                if key not in arrays:
+                    raise CacheError(f"optimizer state has no {key!r}")
+                if arrays[key].shape != p.shape:
+                    raise CacheError(f"optimizer state {key!r} has shape {arrays[key].shape}, "
+                                     f"but its parameter has {p.shape}")
         self.step_count = int(arrays["opt.step"][0])
         for name in self.params:
             self.m[name] = arrays[f"opt.m.{name}"].copy()
@@ -243,7 +254,7 @@ def check_checkpoint(path, extra: dict[str, np.ndarray], **records: dict) -> Non
     for name, current in records.items():
         if f"trainer.{name}" not in extra:
             raise ConfigError(f"checkpoint {path} holds no trainer.{name} to check this run against")
-        saved = json.loads(bytes(extra[f"trainer.{name}"]).decode("utf-8"))
+        saved = M.checkpoint_record(path, extra, f"trainer.{name}")
         current = json.loads(json.dumps(current))  # compare JSON to JSON
         for key in sorted(saved.keys() | current.keys()):
             if key != "train.epochs" and saved.get(key) != current.get(key):
@@ -277,7 +288,10 @@ def train(
     )
     start_epoch = 0
     if resume_from is not None:
-        optimizer.load_state_arrays(extra)
+        try:
+            optimizer.load_state_arrays(extra)
+        except CacheError as err:
+            raise CacheError(f"checkpoint {resume_from}: {err}") from None
         start_epoch = int(extra["trainer.epoch"][0])
 
     frequency_table = None

@@ -48,9 +48,18 @@ def prepared(tmp_path, raw_clicks):
 
 class TestPrep:
     def test_writes_cache_manifest_and_snapshot(self, prepared):
-        assert (prepared / "data.npz").exists()
-        assert (prepared / "catalog.json").exists()
+        assert sorted(p.name for p in prepared.iterdir()) == [
+            "data.npz", "manifest.json", "resolved-config.json"]
+        with np.load(prepared / "data.npz") as blob:
+            assert sorted(blob.files) == sorted(
+                ["catalog"] + [f"{split}_{column}" for split in ("train", "test")
+                               for column in ("items", "ts", "offsets", "sids")])
+            counts = {"n_items": len(blob["catalog"])}
+            for split in ("train", "test"):
+                counts[f"{split}_sessions"] = len(blob[f"{split}_sids"])
+                counts[f"{split}_events"] = len(blob[f"{split}_items"])
         manifest = json.loads((prepared / "manifest.json").read_text())
+        assert manifest == counts
         assert manifest["train_sessions"] > 0 and manifest["test_sessions"] > 0
         snapshot = json.loads((prepared / "resolved-config.json").read_text())
         assert snapshot["data.min_support"] == 2
@@ -239,6 +248,38 @@ class TestEvalVerb:
         assert code == 2
         assert f"error: {path} is not a readable .npz archive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("others", ["deleted", "edited"])
+    def test_archive_alone_trains_and_evaluates(self, tmp_path, prepared, others):
+        if others == "deleted":
+            for path in prepared.iterdir():
+                if path.name != "data.npz":
+                    path.unlink()
+        else:
+            (prepared / "manifest.json").write_text("{\"n_items\": 1}")
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        assert main(["eval", "--input", str(prepared),
+                     "--checkpoint", str(run / "ckpt" / "epoch-1.bin"),
+                     "--output-dir", str(tmp_path / "eval-out")]) == 0
+        assert json.loads((tmp_path / "eval-out" / "eval.json").read_text())["n_transitions"] > 0
+
+    @pytest.mark.parametrize("verb", ["eval", "train"])
+    def test_cache_without_an_array_is_a_usage_error(self, tmp_path, prepared, capsys, verb):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        with np.load(prepared / "data.npz") as blob:
+            arrays = {key: blob[key] for key in blob.files if key != "test_ts"}
+        np.savez(prepared / "data.npz", **arrays)
+        capsys.readouterr()
+        checkpoint = ["--checkpoint", str(run / "ckpt" / "epoch-1.bin")]
+        args = {"eval": checkpoint, "train": TRAIN_ARGS}[verb]
+        code = main([verb, "--input", str(prepared), "--output-dir", str(tmp_path / "out"), *args])
+        assert code == 2
+        assert (f"error: {prepared / 'data.npz'} holds no array 'test_ts'"
+                in capsys.readouterr().err)
+
     def test_env_var_supplies_data_dir(self, tmp_path, prepared, monkeypatch):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),
@@ -272,6 +313,19 @@ class TestExportVerb:
         assert main(["export", "--report", str(run / "report.json"),
                      "--output", str(out_csv)]) == 0
         assert len(read_csv(out_csv)) == 2
+
+    @pytest.mark.parametrize("content,named", [
+        ('{"epochs": [', "JSONDecodeError"),
+        ('{"summary": {}}', "KeyError('epochs')"),
+    ], ids=["not-json", "no-epochs"])
+    def test_bad_report_is_a_usage_error(self, tmp_path, capsys, content, named):
+        report = tmp_path / "report.json"
+        report.write_text(content)
+        code = main(["export", "--report", str(report), "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: report {report} is not a train report ({named}" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_report_without_eval_entries_fails(self, tmp_path, prepared):
         run = tmp_path / "run"

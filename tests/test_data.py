@@ -361,6 +361,10 @@ class TestPreparedCache:
         assert ds_frac.catalog.n_items <= ds_full.catalog.n_items
 
 
+CACHE_ARRAYS = ["catalog", "train_items", "train_ts", "train_offsets", "train_sids",
+                "test_items", "test_ts", "test_offsets", "test_sids"]
+
+
 class TestCacheValidation:
     def _corrupt(self, tmp_path, **changes):
         ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
@@ -369,7 +373,29 @@ class TestCacheValidation:
             arrays = {key: blob[key] for key in blob.files}
         for key, change in changes.items():
             arrays[key] = change(arrays[key])
-        np.savez(tmp_path / "data.npz", **arrays)
+        np.savez(tmp_path / "data.npz", **{k: v for k, v in arrays.items() if v is not None})
+        return ds
+
+    def test_archive_is_the_only_state(self, tmp_path):
+        ds = self._corrupt(tmp_path)
+        (tmp_path / "manifest.json").write_text(json.dumps({"n_items": 1, "train_events": -1}))
+        edited = D.load_prepared(tmp_path)
+        for path in tmp_path.iterdir():
+            if path.name != "data.npz":
+                path.unlink()
+        alone = D.load_prepared(tmp_path)
+        for loaded in (edited, alone):
+            assert loaded.manifest() == ds.manifest()
+            assert loaded.train == ds.train and loaded.test == ds.test
+            assert loaded.catalog.id_map == ds.catalog.id_map
+            np.testing.assert_array_equal(loaded.catalog.frequencies, ds.catalog.frequencies)
+
+    @pytest.mark.parametrize("name", CACHE_ARRAYS)
+    def test_missing_array_is_named(self, tmp_path, name):
+        self._corrupt(tmp_path, **{name: lambda array: None})
+        with pytest.raises(CacheError, match=f"data.npz holds no array '{name}' .*"
+                                             "re-run `sessrec prep`"):
+            D.load_prepared(tmp_path)
 
     def test_offsets_not_monotone(self, tmp_path):
         self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate([o[:2], o[1:2] - 1, o[3:]]))
@@ -396,53 +422,42 @@ class TestCacheValidation:
         with pytest.raises(CacheError, match="train_ts"):
             D.load_prepared(tmp_path)
 
-    def test_item_id_out_of_range(self, tmp_path):
-        self._corrupt(tmp_path, test_items=lambda items: np.where(items == items[0], 10**6, items))
-        with pytest.raises(CacheError, match="test_items holds id 1000000"):
-            D.load_prepared(tmp_path)
-
-    def test_frequencies_not_train_counts(self, tmp_path):
-        self._corrupt(tmp_path, frequencies=lambda f: f + (np.arange(len(f)) == 0))
-        with pytest.raises(CacheError, match="frequencies differ"):
-            D.load_prepared(tmp_path)
-
-    def test_catalog_size_disagrees(self, tmp_path):
-        self._corrupt(tmp_path)
-        keys = json.loads((tmp_path / "catalog.json").read_text())
-        (tmp_path / "catalog.json").write_text(json.dumps(keys[1:]))
-        with pytest.raises(CacheError, match="catalog.json holds"):
+    @pytest.mark.parametrize("split,bad_id", [("test", 10**6), ("train", -1), ("train", "n")])
+    def test_item_id_out_of_range(self, tmp_path, split, bad_id):
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
+        bad_id = ds.catalog.n_items if bad_id == "n" else bad_id
+        self._corrupt(tmp_path, **{f"{split}_items": lambda items: np.where(
+            items == items[0], bad_id, items)})
+        with pytest.raises(CacheError, match=f"data.npz {split}_items holds id {bad_id} "
+                                             rf"outside \[0, {ds.catalog.n_items}\)"):
             D.load_prepared(tmp_path)
 
     def test_catalog_repeats_a_key(self, tmp_path):
-        self._corrupt(tmp_path)
-        keys = json.loads((tmp_path / "catalog.json").read_text())
-        (tmp_path / "catalog.json").write_text(json.dumps(keys[:-1] + keys[:1]))
-        with pytest.raises(CacheError, match=f"catalog.json repeats raw item key '{keys[0]}'"):
+        self._corrupt(tmp_path, catalog=lambda keys: np.concatenate([keys[:-1], keys[:1]]))
+        with pytest.raises(CacheError, match="data.npz catalog repeats raw item key 'item0'"):
             D.load_prepared(tmp_path)
 
     def test_catalog_key_not_hashable(self, tmp_path):
-        self._corrupt(tmp_path)
-        keys = json.loads((tmp_path / "catalog.json").read_text())
-        (tmp_path / "catalog.json").write_text(json.dumps([[k] for k in keys]))
-        with pytest.raises(CacheError, match="catalog.json holds a key that is not a raw item id"):
+        self._corrupt(tmp_path, catalog=lambda keys: np.where(np.arange(len(keys)) == 2,
+                                                              "[1]", keys))
+        with pytest.raises(CacheError, match="data.npz catalog holds a key that is not a raw "
+                                             "item id"):
+            D.load_prepared(tmp_path)
+
+    @pytest.mark.parametrize("change,named", [
+        (lambda keys: np.where(np.arange(len(keys)) == 2, "item2", keys),
+         r"catalog\[2\] is 'item2'"),
+        (lambda keys: np.arange(len(keys)), r"catalog\[0\] is 0"),  # numbers, not texts
+    ], ids=["text", "numbers"])
+    def test_catalog_key_not_json(self, tmp_path, change, named):
+        self._corrupt(tmp_path, catalog=change)
+        with pytest.raises(CacheError, match=f"data.npz {named}, not the JSON text of a raw id"):
             D.load_prepared(tmp_path)
 
     def test_session_id_not_json(self, tmp_path):
         self._corrupt(tmp_path, train_sids=lambda sids: np.where(np.arange(len(sids)) == 3,
                                                                  "s3", sids))
         with pytest.raises(CacheError, match=r"data.npz train_sids\[3\] is 's3'"):
-            D.load_prepared(tmp_path)
-
-    @pytest.mark.parametrize("key", ["train_sessions", "train_events", "test_sessions",
-                                     "test_events", "n_items"])
-    def test_manifest_count_disagrees_with_arrays(self, tmp_path, key):
-        self._corrupt(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        count = manifest[key]
-        manifest[key] = count + 1
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CacheError, match=f"manifest.json gives {key} = {count + 1} "
-                                             f"but the cached arrays hold {count}"):
             D.load_prepared(tmp_path)
 
     def test_truncated_archive_names_the_file(self, tmp_path):
@@ -452,11 +467,16 @@ class TestCacheValidation:
         with pytest.raises(CacheError, match="data.npz is not a readable .npz archive"):
             D.load_prepared(tmp_path)
 
-    def test_catalog_in_old_mapping_format(self, tmp_path):
-        self._corrupt(tmp_path)
-        keys = json.loads((tmp_path / "catalog.json").read_text())
-        (tmp_path / "catalog.json").write_text(json.dumps({k: i for i, k in enumerate(keys)}))
-        with pytest.raises(CacheError, match="catalog.json .*re-run `sessrec prep`"):
+    def test_cache_of_an_older_version(self, tmp_path):
+        # until the catalog moved into the archive, data.npz held `frequencies`
+        # and catalog.json the raw keys
+        ds = self._corrupt(tmp_path, catalog=lambda keys: None)
+        with np.load(tmp_path / "data.npz") as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        np.savez(tmp_path / "data.npz", frequencies=ds.catalog.frequencies, **arrays)
+        (tmp_path / "catalog.json").write_text(json.dumps(sorted(ds.catalog.id_map)))
+        with pytest.raises(CacheError, match="data.npz holds no array 'catalog' .*"
+                                             "re-run `sessrec prep`"):
             D.load_prepared(tmp_path)
 
 

@@ -1,5 +1,7 @@
 """Encoder contracts: shapes, causality, tied scoring, chunking, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,34 @@ class TestCheckpoint:
     def test_missing_header_is_named(self, tmp_path):
         path = self._rewritten(tmp_path, lambda arrays: arrays.pop("__header__"))
         with pytest.raises(CacheError, match="holds no '__header__'"):
+            M.load_checkpoint(path)
+
+    @staticmethod
+    def _header(arrays, change):
+        header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+        change(header)
+        arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+
+    def test_header_without_format_is_named(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda arrays: self._header(
+            arrays, lambda header: header.pop("format")))
+        with pytest.raises(CacheError, match=f"checkpoint {path} header holds no 'format'"):
+            M.load_checkpoint(path)
+
+    def test_header_config_with_an_unknown_field_is_named(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda arrays: self._header(
+            arrays, lambda header: header["config"].update(width=8)))
+        with pytest.raises(CacheError, match=f"checkpoint {path} header 'config' does not fit "
+                                             "ModelConfig .*'width'"):
+            M.load_checkpoint(path)
+
+    def test_header_not_utf8_json_is_named(self, tmp_path):
+        def garble(arrays):
+            arrays["__header__"] = np.frombuffer(b"\xff{", dtype=np.uint8)
+
+        path = self._rewritten(tmp_path, garble)
+        with pytest.raises(CacheError, match=f"checkpoint {path} record '__header__' is not "
+                                             "UTF-8 JSON"):
             M.load_checkpoint(path)
 
     def test_missing_parameter_is_named(self, tmp_path):

@@ -14,7 +14,7 @@ from sessrec import config as C
 from sessrec import model as M
 from sessrec import train as TR
 from sessrec.data import Catalog, PreparedDataset, Session, make_batches
-from sessrec.errors import ConfigError, DivergenceError, PoolExhaustedError
+from sessrec.errors import CacheError, ConfigError, DivergenceError, PoolExhaustedError
 from sessrec.tensor import Tensor
 
 
@@ -269,6 +269,49 @@ class TestCheckpointing:
         M.save_checkpoint(state, path, extra)
         with pytest.raises(ConfigError, match="no trainer.manifest"):
             TR.train(toy_config(), ds, resume_from=path)
+
+    @pytest.mark.parametrize("record", ["trainer.config", "trainer.manifest"])
+    def test_resume_refuses_a_run_record_not_utf8_json(self, tmp_path, record):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        state, extra = M.load_checkpoint(path)
+        extra[record] = np.frombuffer(b'{"loss": "ss\xff"}', dtype=np.uint8)
+        M.save_checkpoint(state, path, extra)
+        with pytest.raises(CacheError, match=f"checkpoint {path} record '{record}' is not "
+                                             "UTF-8 JSON"):
+            TR.train(toy_config(), ds, resume_from=path)
+
+    @pytest.mark.parametrize("moment", ["opt.m.item_emb", "opt.v.item_emb"])
+    @pytest.mark.parametrize("fault", ["cut", "missing"])
+    def test_resume_refuses_optimizer_moments_of_another_shape(self, tmp_path, moment, fault):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        state, extra = M.load_checkpoint(path)
+        shape = extra[moment].shape
+        if fault == "cut":  # [1, d] would broadcast over every item row
+            extra[moment] = extra[moment][:1]
+            message = (f"checkpoint {path}: optimizer state '{moment}' has shape "
+                       f"{extra[moment].shape}, but its parameter has {shape}")
+        else:
+            del extra[moment]
+            message = f"checkpoint {path}: optimizer state has no '{moment}'"
+        M.save_checkpoint(state, path, extra)
+        with pytest.raises(CacheError, match=re.escape(message)):
+            TR.train(toy_config(), ds, resume_from=path)
+
+    def test_optimizer_state_unchanged_by_a_refused_load(self):
+        params = {"a": Tensor(np.ones(3), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2)), requires_grad=True)}
+        opt = TR.Adam(params)
+        before = opt.state_arrays()
+        arrays = {key: value + 1 for key, value in before.items()}
+        arrays["opt.v.b"] = arrays["opt.v.b"][:1]  # the last key checked
+        with pytest.raises(CacheError, match="'opt.v.b' has shape"):
+            opt.load_state_arrays(arrays)
+        for key, value in opt.state_arrays().items():
+            np.testing.assert_array_equal(value, before[key], err_msg=key)
 
     def test_divergence_writes_snapshot(self, tmp_path, monkeypatch):
         ds = toy_dataset()
