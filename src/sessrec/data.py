@@ -440,13 +440,19 @@ CACHE_ARRAYS = ("catalog",) + tuple(f"{prefix}_{column}" for prefix in ("train",
 def load_prepared(in_dir) -> PreparedDataset:
     """Read the archive written by `save_prepared`, and no other file: the
     catalog size is the length of `catalog`, the frequencies are the train
-    items' counts. CacheError names the array or entry at fault."""
+    items' counts. CacheError names the array or entry at fault, or an array
+    whose dtype is not integer (items, timestamps, offsets) or text (catalog,
+    session ids)."""
     path = Path(in_dir) / "data.npz"
     arrays = load_arrays(path)
     for name in CACHE_ARRAYS:
         if name not in arrays:
             raise CacheError(f"{path} holds no array {name!r} (a cache from an older version?); "
                              "re-run `sessrec prep`")
+        text = name == "catalog" or name.endswith("_sids")
+        if arrays[name].dtype.kind not in ("U" if text else "iu"):
+            raise CacheError(f"{path} array {name!r} has dtype {arrays[name].dtype}, not "
+                             f"{'text' if text else 'integer'}; re-run `sessrec prep`")
     keys = _raw_ids(arrays["catalog"].tolist(), path, "catalog")
     try:
         id_map = {key: dense for dense, key in enumerate(keys)}
@@ -485,12 +491,12 @@ def _raw_ids(texts: list[str], path: Path, name: str) -> list:
         ids = json.loads(f"[{','.join(texts)}]")
         if len(ids) == len(texts):
             return ids
-    except (TypeError, ValueError):  # TypeError: an entry that is not a text
+    except ValueError:
         pass
     for i, text in enumerate(texts):
         try:
             json.loads(text)
-        except (TypeError, ValueError):
+        except ValueError:
             break
     raise CacheError(
         f"{path} {name}[{i}] is {text!r}, not the JSON text of a raw id "

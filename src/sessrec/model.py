@@ -9,9 +9,11 @@ embedding table, whose last row is reserved for padding.
 
 Training scores only the P valid positions of a batch (`pack`), so padding
 is never scored, filtered or back-propagated. Negatives are scored at their
-sampling granularity, one part of the `NegativeSet` at a time: a batchwise
-pool is one [P, d] x [d, n] product shared by the whole batch, so the pool
-is never expanded per session.
+sampling granularity, one part of the `NegativeSet` at a time and one graph
+node per part: a batchwise pool is one [P, d] x [d, n] product shared by
+the whole batch, so the pool is never expanded per session. The node's
+backward hands `item_emb` its gradient directly, scattered from a
+feature-major row gradient that BLAS writes in that layout.
 """
 
 from __future__ import annotations
@@ -235,30 +237,68 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
 
 
 def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tensor:
-    """[P, k] scores of one part's 3-d ids, one contraction per granularity."""
-    emb = state.params["item_emb"]
-    b, width, d = packed.grid.shape
+    """[P, k] scores of one part's 3-d ids: one node per granularity.
+
+    The node's parents are the hidden states (the packed [P, d] rows, or the
+    [b, W, d] grid for a sessionwise part) and `item_emb`. Backward has BLAS
+    write the gathered rows' gradient feature-major, as a [d, N] block, and
+    scatters it into the table one feature at a time (`T.scatter_features`).
+    Each product is the one the composed gather-matmul graph runs, with its
+    operands in the same order, so scores and gradients are bit-identical
+    to that graph's.
+    """
+    emb, grid, hidden = state.params["item_emb"], packed.grid, packed.hidden
+    n_rows = emb.shape[0]
+    b, width, d = grid.shape
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
         # one [P, d] x [d, k] product: its backward needs no [b, d, k] temporary
-        rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
-        return T.matmul(packed.hidden, T.transpose(rows, (1, 0)))
-    # The gathered rows are the left operand below, so their gradient
-    # g @ hidden comes out of BLAS contiguous, ready for the scatter-add.
+        pool = T.row_ids(ids[0, 0], n_rows)
+        rows = emb.data[pool]  # [k, d]
+
+        def backward(g):
+            return g @ rows, T.scatter_features(pool, hidden.data.T @ g, n_rows)
+
+        return T._wire(hidden.data @ rows.T, (hidden, emb), backward)
     if gt == 1:
         if gb != b:
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
-        rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
-        out = T.matmul(rows, T.transpose(packed.grid, (0, 2, 1)))  # [b, k, W]
-        # every session's scores over all W positions, then its valid ones
-        return T.take_rows(T.transpose(out, (0, 2, 1)), packed.rows)
+        pool = T.row_ids(ids[:, 0], n_rows)
+        table = emb.data
+        # One session at a time: its [k, d] rows stay in cache, and no
+        # [b, k, d] block is allocated or kept for backward. Each product is
+        # the one a batched matmul runs for that session.
+        out = np.empty((b, width, k))  # every session's scores at all W positions
+        for i in range(b):
+            np.matmul(grid.data[i], table[pool[i]].T, out=out[i])
+
+        def backward(g):
+            full = np.zeros((b, width, k))
+            full.reshape(-1, k)[packed.rows] = g
+            ggrid = np.empty((b, width, d))
+            # the rows' gradient, feature-major: grid-left scoring makes each
+            # session's share the [d, k] product grid^T @ G
+            cols = np.empty((d, b, k))
+            for i in range(b):
+                np.matmul(full[i], table[pool[i]], out=ggrid[i])
+                np.matmul(grid.data[i].T, full[i], out=cols[:, i])
+            return ggrid, T.scatter_features(pool, cols.reshape(d, -1), n_rows)
+
+        return T._wire(out.reshape(-1, k)[packed.rows], (grid, emb), backward)
     if (gb, gt) != (b, width):
-        raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {packed.grid.shape}")
+        raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {grid.shape}")
     positions = packed.rows.size
-    picked = ids.reshape(b * width, k)[packed.rows]  # only the valid positions' ids
-    rows = T.gather_rows(emb, picked)  # [P, k, d]
-    out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
-    return T.reshape(out, (positions, k))
+    # the valid positions' ids only
+    picked = T.row_ids(ids.reshape(b * width, k)[packed.rows], n_rows)  # [P, k]
+    rows = emb.data[picked]  # [P, k, d]
+
+    def backward(g):
+        ghidden = (np.swapaxes(rows, 1, 2) @ g.reshape(positions, k, 1)).reshape(positions, d)
+        cols = np.multiply(hidden.data.T[:, :, None], g, order="C")  # [d, P, k]
+        return ghidden, T.scatter_features(picked, cols.reshape(d, -1), n_rows)
+
+    out = rows @ hidden.data.reshape(positions, d, 1)  # [P, k, 1]
+    return T._wire(out.reshape(positions, k), (hidden, emb), backward)
 
 
 # ---------------------------------------------------------------------------

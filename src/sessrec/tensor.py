@@ -12,7 +12,10 @@ meaningful.
 composed graph's arithmetic, so its outputs are bit-identical to it. A
 matmul whose right operand is a 2-d weight shared across a batched left
 operand gets the weight's gradient from one product over all rows. The
-ranking losses are fused nodes too, built in `loss.py` on `_wire`.
+ranking losses and the negative-scoring node are fused nodes too, built in
+`loss.py` and `model.py` on `_wire`. Table gradients are scattered from a
+feature-major `[d, N]` row gradient, one `np.bincount` per feature
+(`scatter_features`), bit-identical to `np.add.at`.
 """
 
 from __future__ import annotations
@@ -328,8 +331,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-8) -> Tensor:
     return _wire(out, (a, gain, bias), backward)
 
 
-SCATTER_BLOCK = 16
-"""Columns summed per `np.bincount` call in `gather_rows` backward."""
+def row_ids(ids, n_rows: int) -> np.ndarray:
+    """`ids` as int64; ItemIdError names the first outside `[0, n_rows)`."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        bad = ids[(ids < 0) | (ids >= n_rows)].flat[0]
+        raise ItemIdError(f"id {int(bad)} out of range [0, {n_rows})")
+    return ids
 
 
 def gather_rows(table, ids) -> Tensor:
@@ -337,39 +345,30 @@ def gather_rows(table, ids) -> Tensor:
     table = as_tensor(table)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows needs a 2-d table, got shape {table.shape}")
-    ids = np.asarray(ids, dtype=np.int64)
-    n_rows = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = ids[(ids < 0) | (ids >= n_rows)].flat[0]
-        raise ItemIdError(f"id {int(bad)} out of range [0, {n_rows})")
+    n_rows, d = table.shape
+    ids = row_ids(ids, n_rows)
     out = table.data[ids]
 
     def backward(g):
-        return (_scatter_rows(ids, g.reshape(-1, table.shape[1]), n_rows),)
+        return (scatter_features(ids, np.ascontiguousarray(g.reshape(-1, d).T), n_rows),)
 
     return _wire(out, (table,), backward)
 
 
-def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum `rows[i]` into row `ids[i]` of an `[n_rows, d]` zero table.
+def scatter_features(ids: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum `cols[:, i]` into row `ids[i]` of an `[n_rows, d]` zero table.
 
-    One `np.bincount` over flat (row, column) bins per block of
-    `SCATTER_BLOCK` columns. Each bin adds its values in id order starting
-    from zero, exactly as `np.add.at` does, so the result is bit-identical.
+    `cols` is the `[d, N]` row gradient held feature-major, so each feature
+    is one `np.bincount` over a contiguous column, into its row of a
+    `[d, n_rows]` table; the result is that table's transposed view. Each
+    bin adds its values in id order starting from zero, exactly as
+    `np.add.at` does, so the result is bit-identical to it.
     """
     ids = ids.reshape(-1)
-    d = rows.shape[1]
-    out = np.empty((n_rows, d))
-    bins = None
-    for lo in range(0, d, SCATTER_BLOCK):
-        width = min(SCATTER_BLOCK, d - lo)
-        if bins is None or bins.shape[1] != width:
-            bins = ids[:, None] * width + np.arange(width)
-        weights = rows[:, lo : lo + width].reshape(-1)
-        out[:, lo : lo + width] = np.bincount(
-            bins.reshape(-1), weights, minlength=n_rows * width
-        ).reshape(n_rows, width)
-    return out
+    out = np.empty((cols.shape[0], n_rows))
+    for f, col in enumerate(cols):
+        out[f] = np.bincount(ids, col, minlength=n_rows)
+    return out.T
 
 
 def take_rows(a, rows) -> Tensor:

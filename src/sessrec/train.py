@@ -264,6 +264,18 @@ def check_checkpoint(path, extra: dict[str, np.ndarray], **records: dict) -> Non
                 )
 
 
+def _resume_epoch(path, extra: dict[str, np.ndarray]) -> int:
+    """The epoch count stored as `trainer.epoch`; CacheError names a missing
+    key or a value that is not a one-element integer array."""
+    stored = extra.get("trainer.epoch")
+    if stored is None:
+        raise CacheError(f"checkpoint {path} holds no 'trainer.epoch'")
+    if stored.shape != (1,) or stored.dtype.kind not in "iu":
+        raise CacheError(f"checkpoint {path} 'trainer.epoch' is a {stored.dtype} array of shape "
+                         f"{stored.shape}, not one integer")
+    return int(stored[0])
+
+
 def train(
     config: dict,
     dataset: PreparedDataset,
@@ -277,22 +289,22 @@ def train(
     n_items = dataset.catalog.n_items
     manifest = dataset.manifest()
 
+    start_epoch = 0
     if resume_from is not None:
         state, extra = M.load_checkpoint(resume_from)
         check_checkpoint(resume_from, extra, config=config, manifest=manifest)
+        start_epoch = _resume_epoch(resume_from, extra)
     else:
         state = ModelState.initialize(model_config_from(config, n_items), seed=seed)
     optimizer = Adam(
         state.params, config["train.lr"], config["train.beta1"],
         config["train.beta2"], config["train.eps"],
     )
-    start_epoch = 0
     if resume_from is not None:
         try:
             optimizer.load_state_arrays(extra)
         except CacheError as err:
             raise CacheError(f"checkpoint {resume_from}: {err}") from None
-        start_epoch = int(extra["trainer.epoch"][0])
 
     frequency_table = None
     if config["negs.frequency.count"] > 0:

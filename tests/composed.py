@@ -1,10 +1,11 @@
 """Fine-grained autodiff ops that only the tests compose.
 
 The library runs fused nodes (`loss.bce`, `loss.bpr_max`, `loss.ssm`,
-`tensor.layer_norm`) in place of graphs built from these ops. The tests keep
-the composed graphs as references, so the ops live here, built on the
-engine's `_wire` with the arithmetic they had in `sessrec.tensor`: the
-references stay bit-identical to the forms the fused nodes replaced.
+`tensor.layer_norm`, the negative-scoring node of `model.score`) in place of
+graphs built from these ops. The tests keep the composed graphs as
+references, so the ops live here, built on the engine's `_wire` with the
+arithmetic they had in `sessrec.tensor`: the references stay bit-identical
+to the forms the fused nodes replaced.
 """
 
 from __future__ import annotations
@@ -97,3 +98,23 @@ def where_mask(mask, a, fill: float = 0.0) -> Tensor:
         return (T._unbroadcast(g * mask, a.shape),)
 
     return T._wire(out, (a,), backward)
+
+
+def score_negatives(state, packed, ids) -> Tensor:
+    """[P, k] scores of one negative part as the composed graph that
+    `model._score_negatives` fuses: `gather_rows` + `matmul` per granularity,
+    then `take_rows` for a sessionwise part."""
+    emb = state.params["item_emb"]
+    b, width, d = packed.grid.shape
+    gb, gt, k = ids.shape
+    if gb == 1 and gt == 1:
+        rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
+        return T.matmul(packed.hidden, T.transpose(rows, (1, 0)))
+    if gt == 1:
+        rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
+        out = T.matmul(packed.grid, T.transpose(rows, (0, 2, 1)))  # [b, W, k]
+        return T.take_rows(out, packed.rows)
+    positions = packed.rows.size
+    rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]
+    out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
+    return T.reshape(out, (positions, k))

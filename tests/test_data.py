@@ -1,6 +1,7 @@
 """Parsing, fixpoint preprocessing, temporal split, and batching tests."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -397,6 +398,17 @@ class TestCacheValidation:
                                              "re-run `sessrec prep`"):
             D.load_prepared(tmp_path)
 
+    @pytest.mark.parametrize("name", CACHE_ARRAYS)
+    def test_array_of_another_dtype_is_named(self, tmp_path, name):
+        text = name == "catalog" or name.endswith("_sids")
+        # ids stored as numbers instead of their JSON texts; integer columns as floats
+        self._corrupt(tmp_path, **{name: (lambda a: np.arange(len(a))) if text
+                                   else (lambda a: a.astype(np.float64))})
+        message = (f"data.npz array '{name}' has dtype {'int64' if text else 'float64'}, "
+                   f"not {'text' if text else 'integer'}; re-run `sessrec prep`")
+        with pytest.raises(CacheError, match=re.escape(message)):
+            D.load_prepared(tmp_path)
+
     def test_offsets_not_monotone(self, tmp_path):
         self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate([o[:2], o[1:2] - 1, o[3:]]))
         with pytest.raises(CacheError, match="train_offsets"):
@@ -444,14 +456,12 @@ class TestCacheValidation:
                                              "item id"):
             D.load_prepared(tmp_path)
 
-    @pytest.mark.parametrize("change,named", [
-        (lambda keys: np.where(np.arange(len(keys)) == 2, "item2", keys),
-         r"catalog\[2\] is 'item2'"),
-        (lambda keys: np.arange(len(keys)), r"catalog\[0\] is 0"),  # numbers, not texts
-    ], ids=["text", "numbers"])
-    def test_catalog_key_not_json(self, tmp_path, change, named):
-        self._corrupt(tmp_path, catalog=change)
-        with pytest.raises(CacheError, match=f"data.npz {named}, not the JSON text of a raw id"):
+    def test_catalog_key_not_json(self, tmp_path):
+        # a catalog of numbers, not texts, is test_array_of_another_dtype_is_named[catalog]
+        self._corrupt(tmp_path, catalog=lambda keys: np.where(np.arange(len(keys)) == 2, "item2",
+                                                              keys))
+        with pytest.raises(CacheError, match=r"data.npz catalog\[2\] is 'item2', not the JSON "
+                                             "text of a raw id"):
             D.load_prepared(tmp_path)
 
     def test_session_id_not_json(self, tmp_path):

@@ -1,0 +1,140 @@
+"""The negative-scoring node against the composed graph it replaces.
+
+`model.score` scores each part of a `NegativeSet` in one node per
+granularity. `composed.score_negatives` is the `gather_rows` + `matmul`
+(+ `take_rows`) graph it fuses. The node runs the same products, and its
+feature-major scatter adds each table row in id order as `np.add.at` does,
+so scores and every gradient must be bit-identical to the reference, at any
+BLAS thread count.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import composed as C
+from sessrec import model as M
+from sessrec import tensor as T
+from sessrec.errors import ItemIdError
+from sessrec.sampler import NegativeSet
+
+GRANULARITIES = ("batchwise", "sessionwise", "elementwise")
+
+
+def part_shape(granularity, b, width, k):
+    return {"batchwise": (1, 1, k), "sessionwise": (b, 1, k), "elementwise": (b, width, k)}[
+        granularity]
+
+
+def draw_ids(rng, shape, n_items, kind):
+    """`distinct` ids (as far as the catalog allows), ids `repeated` from a
+    few rows, or ids that hold the pad row `n_items` among them."""
+    size = int(np.prod(shape))
+    if kind == "distinct":
+        ids = rng.permutation(max(size, n_items + 1))[:size] % (n_items + 1)
+    elif kind == "repeated":
+        ids = rng.integers(0, min(3, n_items + 1), size=size)
+    else:
+        ids = rng.integers(0, n_items + 1, size=size)
+        ids[rng.random(size) < 0.3] = n_items
+        ids[0] = n_items
+    return ids.reshape(shape)
+
+
+def model(rng, n_items, d):
+    state = M.ModelState.initialize(M.ModelConfig(n_items=n_items, hidden_dim=d, max_len=8))
+    state.params["item_emb"] = T.Tensor(rng.standard_normal((n_items + 1, d)), requires_grad=True)
+    return state
+
+
+def scores_and_grads(scorer, state, grid_data, mask, ids, upstream):
+    grid = T.Tensor(grid_data, requires_grad=True)
+    emb = state.params["item_emb"]
+    emb.zero_grad()
+    scores = scorer(state, M.pack(grid, mask), ids)
+    scores.backward(seed=upstream)
+    return scores.data, grid.grad, np.ascontiguousarray(emb.grad)
+
+
+def node(state, packed, ids):
+    return M.score(state, packed, NegativeSet(ids))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, mask):
+    state = model(rng, n_items, d)
+    ids = draw_ids(rng, part_shape(granularity, b, width, k), n_items, kind)
+    grid = rng.standard_normal((b, width, d))
+    positions = b * width if mask is None else int(mask.sum())
+    upstream = rng.standard_normal((positions, k))
+    upstream[rng.random(upstream.shape) < 0.1] = -0.0
+    got = scores_and_grads(node, state, grid, mask, ids, upstream)
+    want = scores_and_grads(C.score_negatives, state, grid, mask, ids, upstream)
+    for name, a, e in zip(("scores", "hidden grad", "item_emb grad"), got, want):
+        assert a.shape == e.shape, name
+        np.testing.assert_array_equal(bits(a), bits(e), err_msg=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    granularity=st.sampled_from(GRANULARITIES),
+    kind=st.sampled_from(["distinct", "repeated", "pad"]),
+    b=st.integers(1, 4),
+    width=st.integers(1, 5),
+    d=st.sampled_from([1, 3, 16, 17]),
+    k=st.integers(1, 9),
+    n_items=st.integers(1, 40),
+    masked=st.sampled_from(["none", "random", "empty"]),
+    seed=st.integers(0, 2**16),
+)
+def test_bits_equal_composed_reference(granularity, kind, b, width, d, k, n_items, masked, seed):
+    rng = np.random.default_rng(seed)
+    mask = {"none": None, "random": rng.random((b, width)) < 0.6,
+            "empty": np.zeros((b, width), dtype=bool)}[masked]
+    assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, mask)
+
+
+@pytest.mark.parametrize("b,width,d,k", [(128, 20, 64, 544), (16, 50, 100, 700)],
+                         ids=["large-catalog", "wide"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_bits_equal_composed_reference_at_a_training_shape(granularity, b, width, d, k):
+    # Products large enough for BLAS to split them over threads. At the wide
+    # shape, BLAS sums a product and its transpose in different orders, so
+    # only the reference's own operand order gives the same bits.
+    rng = np.random.default_rng(13)
+    k = 64 if granularity == "elementwise" else k
+    mask = rng.random((b, width)) < 0.6
+    assert_matches_reference(rng, granularity, "pad", b, width, d, k, 9649, mask)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "repeated"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_gradcheck(granularity, kind):
+    rng = np.random.default_rng(5)
+    b, width, d, k, n_items = 2, 3, 4, 3, 7
+    state = model(rng, n_items, d)
+    ids = draw_ids(rng, part_shape(granularity, b, width, k), n_items, kind)
+    grid = T.Tensor(rng.standard_normal((b, width, d)), requires_grad=True)
+    mask = np.array([[True, True, False], [True, False, False]])
+    weight = T.Tensor(rng.standard_normal((int(mask.sum()), k)))
+
+    def f():
+        return T.tsum(T.mul(node(state, M.pack(grid, mask), ids), weight))
+
+    assert T.gradcheck(f, [grid, state.params["item_emb"]]) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_id_outside_the_table_is_named(granularity, bad):
+    rng = np.random.default_rng(2)
+    state = model(rng, 7, 4)  # rows 0..6 are items, row 7 the pad
+    ids = draw_ids(rng, part_shape(granularity, 2, 3, 4), 7, "distinct")
+    ids.flat[-1] = bad
+    grid = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    with pytest.raises(ItemIdError, match=rf"id {bad} out of range \[0, 8\)"):
+        node(state, M.pack(grid), ids)

@@ -301,6 +301,25 @@ class TestCheckpointing:
         with pytest.raises(CacheError, match=re.escape(message)):
             TR.train(toy_config(), ds, resume_from=path)
 
+    @pytest.mark.parametrize("fault", ["missing", "float", "two-values", "empty"])
+    def test_resume_refuses_a_bad_epoch_count(self, tmp_path, fault):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path / "first")
+        path = tmp_path / "first" / "ckpt" / "epoch-1.bin"
+        state, extra = M.load_checkpoint(path)
+        if fault == "missing":
+            del extra["trainer.epoch"]
+            message = f"checkpoint {path} holds no 'trainer.epoch'"
+        else:
+            extra["trainer.epoch"] = {"float": np.array([1.0]), "two-values": np.array([1, 1]),
+                                      "empty": np.zeros(0, dtype=np.int64)}[fault]
+            message = (f"checkpoint {path} 'trainer.epoch' is a {extra['trainer.epoch'].dtype} "
+                       f"array of shape {extra['trainer.epoch'].shape}, not one integer")
+        M.save_checkpoint(state, path, extra)
+        with pytest.raises(CacheError, match=re.escape(message)):
+            TR.train(toy_config(), ds, out_dir=tmp_path / "resumed", resume_from=path)
+        assert not (tmp_path / "resumed").exists()  # refused before the run wrote anything
+
     def test_optimizer_state_unchanged_by_a_refused_load(self):
         params = {"a": Tensor(np.ones(3), requires_grad=True),
                   "b": Tensor(np.ones((2, 2)), requires_grad=True)}
