@@ -5,6 +5,19 @@ popularity skew and hidden successor structure. Expect the listwise loss to
 beat pointwise BCE decisively, and top-k filtering to hold or improve recall
 while shrinking the backward pass. Runs in about 50 s on one CPU core
 with one OpenBLAS thread.
+
+The bce row reads below chance (a random ranking of the 1387 items gives
+recall@20 of about 0.014), while its mean loss falls 285 -> 106 -> 43 -> 22
+over the four epochs. bce adds one term per negative, so with 576 negatives
+a position's gradient is nearly all push-down, and in-batch negatives are
+other sessions' items, drawn in proportion to popularity like the targets.
+bce alone on this grid, other settings as in the budget, one OpenBLAS thread:
+
+    negatives                          recall@20   mrr@20
+    512 uniform + 64 in-batch (row)       0.0040   0.0007
+    512 uniform, no in-batch              0.0832   0.0237
+    64 in-batch only                      0.0078   0.0018
+    1 elementwise uniform                 0.1658   0.0369
 """
 
 import time

@@ -13,13 +13,14 @@ timestamp) of the click events. It alternately removes items below a minimum
 support and sessions below a minimum length until a fixpoint, keeps the
 sessions ending in the trailing holdout window for testing, and builds the
 catalog (dense ids and empirical frequencies) from the training portion
-only. The cache is one archive of the same columns with per-session
-offsets, plus the catalog's raw keys.
+only. A split stays columns from there to the batch: a `Sessions` of items,
+timestamps and per-session offsets, which the cache archive stores as is.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import zipfile
@@ -58,6 +59,48 @@ class Session:
     @property
     def last_timestamp(self) -> int:
         return self.timestamps[-1]
+
+
+class Sessions:
+    """Session `i` holds events `offsets[i]:offsets[i + 1]` of the columns.
+    An int index gives a `Session` of Python lists; a slice or an index array
+    gives the `Sessions` gathered from the columns. `a + b` lists `Session`s."""
+
+    def __init__(self, session_ids: list, items: np.ndarray, timestamps: np.ndarray,
+                 offsets: np.ndarray):
+        self.session_ids, self.items, self.timestamps, self.offsets = (
+            session_ids, items, timestamps, offsets)
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]
+            lo, hi = self.offsets[i], self.offsets[i + 1]
+            return Session(self.session_ids[i], self.items[lo:hi].tolist(),
+                           self.timestamps[lo:hi].tolist())
+        rows = np.arange(len(self))[index]
+        starts, lengths = self.offsets[rows], self.offsets[rows + 1] - self.offsets[rows]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        events = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return Sessions([self.session_ids[r] for r in rows.tolist()], self.items[events],
+                        self.timestamps[events], offsets)
+
+    def __add__(self, other) -> list[Session]:
+        return list(self) + list(other)
+
+
+def as_sessions(sessions: Sequence[Session]) -> Sessions:
+    """`sessions` as columns: a `Sessions` as it is, a sequence of `Session` packed once."""
+    if isinstance(sessions, Sessions):
+        return sessions
+    return Sessions(
+        [s.session_id for s in sessions],
+        np.array([x for s in sessions for x in s.items], dtype=np.int64),
+        np.array([x for s in sessions for x in s.timestamps], dtype=np.int64),
+        np.cumsum([0] + [len(s.items) for s in sessions], dtype=np.int64),
+    )
 
 
 class Catalog:
@@ -174,7 +217,7 @@ class SessionBatch:
     targets: np.ndarray
     mask: np.ndarray
     pad_id: int
-    session_refs: list[Session]
+    session_refs: Sequence[Session]
 
     @property
     def size(self) -> int:
@@ -205,28 +248,27 @@ def make_batches(
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
+    sessions = as_sessions(sessions)
     if not sessions:
         return
     if pad_id is None:
-        pad_id = max(max(s.items) for s in sessions) + 1
+        pad_id = int(sessions.items.max()) + 1
 
     order = np.arange(len(sessions))
     if shuffle_rng is not None:
         order = shuffle_rng.permutation(len(sessions))
 
     for start in range(0, len(sessions), batch_size):
-        members = [sessions[i] for i in order[start : start + batch_size]]
-        truncated = [s.items[-max_len:] for s in members]
-        width = max(len(t) for t in truncated) if trim else max_len
-        b = len(members)
-        ids = np.full((b, width), pad_id, dtype=np.int64)
-        targets = np.full((b, width), pad_id, dtype=np.int64)
-        mask = np.zeros((b, width), dtype=bool)
-        for i, items in enumerate(truncated):
-            n = len(items)
-            ids[i, :n] = items
-            targets[i, : n - 1] = items[1:]
-            mask[i, : n - 1] = True
+        members = sessions[order[start : start + batch_size]]
+        lengths = np.minimum(np.diff(members.offsets), max_len)
+        width = int(lengths.max()) if trim else max_len
+        ids = np.full((len(members), width), pad_id, dtype=np.int64)
+        # row i holds the last lengths[i] events of its session, left-aligned
+        tail = np.repeat(members.offsets[1:] - np.cumsum(lengths), lengths)
+        ids[np.arange(width) < lengths[:, None]] = members.items[tail + np.arange(len(tail))]
+        targets = np.full_like(ids, pad_id)
+        targets[:, :-1] = ids[:, 1:]
+        mask = np.arange(width) < (lengths - 1)[:, None]
         yield SessionBatch(ids, targets, mask, pad_id, members)
 
 
@@ -236,17 +278,29 @@ def make_batches(
 
 @dataclass
 class PreparedDataset:
-    train: list[Session]
-    test: list[Session]
+    """Train and test `Sessions` (a sequence of `Session` is packed) and the catalog."""
+
+    train: Sessions
+    test: Sessions
     catalog: Catalog
 
+    def __post_init__(self):
+        self.train, self.test = as_sessions(self.train), as_sessions(self.test)
+
     def manifest(self) -> dict:
+        """Counts, and `digest`: a sha256 of both splits' items and offsets as
+        int64, so a dataset with the same counts but other content differs."""
+        digest = hashlib.sha256()
+        for split in (self.train, self.test):
+            for column in (split.items, split.offsets):
+                digest.update(np.asarray(column, dtype="<i8").tobytes())
         return {
             "train_sessions": len(self.train),
-            "train_events": int(sum(len(s) for s in self.train)),
+            "train_events": len(self.train.items),
             "test_sessions": len(self.test),
-            "test_events": int(sum(len(s) for s in self.test)),
+            "test_events": len(self.test.items),
             "n_items": self.catalog.n_items,
+            "digest": digest.hexdigest(),
         }
 
 
@@ -322,11 +376,10 @@ def prepare_dataset(
 
     raw_sessions = list(session_keys)
 
-    def sessions_of(mask: np.ndarray) -> list[Session]:
+    def sessions_of(mask: np.ndarray) -> Sessions:
         codes, lengths = np.unique(session[mask], return_counts=True)
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return columns_to_sessions([raw_sessions[c] for c in codes.tolist()],
-                                   dense[item[mask]], ts[mask], offsets)
+        return Sessions([raw_sessions[c] for c in codes.tolist()], dense[item[mask]], ts[mask],
+                        np.concatenate([[0], np.cumsum(lengths)]))
 
     catalog = Catalog({raw_items[c]: i for i, c in enumerate(known)}, counts[known])
     return PreparedDataset(sessions_of(train), sessions_of(test), catalog)
@@ -349,21 +402,6 @@ def filter_fixpoint(
         if np.array_equal(kept, keep):
             return keep
         keep = kept
-
-
-def columns_to_sessions(
-    session_ids: Sequence, items: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray
-) -> list[Session]:
-    """Session `i` holds events `offsets[i]:offsets[i + 1]` of the columns.
-
-    All sessions share one int object per item id, not one per event.
-    """
-    shared = np.arange(int(items.max(initial=-1)) + 1).astype(object)
-    items, timestamps, bounds = shared[items].tolist(), timestamps.tolist(), offsets.tolist()
-    return [
-        Session(sid, items[lo:hi], timestamps[lo:hi])
-        for sid, lo, hi in zip(session_ids, bounds, bounds[1:])
-    ]
 
 
 @contextmanager
@@ -390,29 +428,20 @@ def atomic_write(path, mode: str = "wb"):
 
 def save_prepared(dataset: PreparedDataset, out_dir) -> None:
     """One `.npz` archive, written atomically, of what cannot be recomputed:
-    per split the items, timestamps, offsets and session ids, and the
+    per split its `Sessions` arrays as they are and the session ids, and the
     catalog's raw item keys in dense-id order. Raw ids are stored as their
     JSON texts, so they keep their JSON types. `manifest.json`, written after
-    it, is a count summary for people; nothing reads it."""
+    it, is a summary for people; nothing reads it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def pack(sessions: list[Session]):
-        items = np.concatenate([np.asarray(s.items, dtype=np.int64) for s in sessions])
-        ts = np.concatenate([np.asarray(s.timestamps, dtype=np.int64) for s in sessions])
-        offsets = np.cumsum([0] + [len(s) for s in sessions]).astype(np.int64)
-        return items, ts, offsets, _json_texts(s.session_id for s in sessions)
-
-    tr = pack(dataset.train)
-    te = pack(dataset.test)
     keys = sorted(dataset.catalog.id_map, key=dataset.catalog.id_map.__getitem__)
+    arrays = {"catalog": _json_texts(keys)}
+    for prefix, split in (("train", dataset.train), ("test", dataset.test)):
+        arrays |= {f"{prefix}_items": split.items, f"{prefix}_ts": split.timestamps,
+                   f"{prefix}_offsets": split.offsets,
+                   f"{prefix}_sids": _json_texts(split.session_ids)}
     with atomic_write(out / "data.npz") as fh:
-        np.savez(
-            fh,
-            train_items=tr[0], train_ts=tr[1], train_offsets=tr[2], train_sids=tr[3],
-            test_items=te[0], test_ts=te[1], test_offsets=te[2], test_sids=te[3],
-            catalog=_json_texts(keys),
-        )
+        np.savez(fh, **arrays)
     with atomic_write(out / "manifest.json", "w") as fh:
         json.dump(dataset.manifest(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -438,11 +467,11 @@ CACHE_ARRAYS = ("catalog",) + tuple(f"{prefix}_{column}" for prefix in ("train",
 
 
 def load_prepared(in_dir) -> PreparedDataset:
-    """Read the archive written by `save_prepared`, and no other file: the
-    catalog size is the length of `catalog`, the frequencies are the train
-    items' counts. CacheError names the array or entry at fault, or an array
-    whose dtype is not integer (items, timestamps, offsets) or text (catalog,
-    session ids)."""
+    """Read the archive written by `save_prepared`, and no other file: each
+    split is a `Sessions` over the archive's arrays, the catalog size is the
+    length of `catalog`, the frequencies are the train items' counts.
+    CacheError names the array or entry at fault, or an array whose dtype is
+    not integer (items, timestamps, offsets) or text (catalog, session ids)."""
     path = Path(in_dir) / "data.npz"
     arrays = load_arrays(path)
     for name in CACHE_ARRAYS:
@@ -465,7 +494,7 @@ def load_prepared(in_dir) -> PreparedDataset:
     splits = []
     for prefix in ("train", "test"):
         items, ts = arrays[f"{prefix}_items"], arrays[f"{prefix}_ts"]
-        offsets, sids = arrays[f"{prefix}_offsets"], arrays[f"{prefix}_sids"]
+        offsets, sids = arrays[f"{prefix}_offsets"].astype(np.int64), arrays[f"{prefix}_sids"]
         if len(ts) != len(items):
             raise CacheError(f"{path} {prefix}_ts has {len(ts)} entries, "
                              f"{prefix}_items {len(items)}")
@@ -479,8 +508,7 @@ def load_prepared(in_dir) -> PreparedDataset:
         if bad.any():
             raise CacheError(f"{path} {prefix}_items holds id {int(items[bad][0])} "
                              f"outside [0, {n_items})")
-        splits.append(columns_to_sessions(_raw_ids(sids.tolist(), path, f"{prefix}_sids"),
-                                          items, ts, offsets))
+        splits.append(Sessions(_raw_ids(sids.tolist(), path, f"{prefix}_sids"), items, ts, offsets))
     frequencies = np.bincount(arrays["train_items"], minlength=n_items)
     return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as M
-from .data import Session, atomic_write, make_batches
+from .data import Session, as_sessions, atomic_write, make_batches
 from .errors import EmptyDatasetError
 from .model import ModelState
 from .tensor import no_grad
@@ -144,7 +144,7 @@ def iter_transition_ranks(
     """Yield (session_id, position, rank) for every evaluation transition."""
     for batch, ranks in _ranked_batches(state, sessions, batch_size, chunk_size):
         for i, t in zip(*np.nonzero(batch.mask)):
-            yield batch.session_refs[i].session_id, int(t), int(ranks[i, t])
+            yield batch.session_refs.session_ids[i], int(t), int(ranks[i, t])
 
 
 def evaluate(
@@ -164,7 +164,7 @@ def evaluate(
     """
     if average not in ("transition", "session"):
         raise ValueError(f"average must be 'transition' or 'session', got {average!r}")
-    sessions = list(sessions)
+    sessions = as_sessions(sessions)
     if not sessions:
         raise EmptyDatasetError("cannot evaluate an empty test set")
 

@@ -1,11 +1,13 @@
-"""Fine-grained autodiff ops that only the tests compose.
+"""Fine-grained autodiff ops that only the tests compose, and the per-row
+batch fill that the columnar one replaced.
 
 The library runs fused nodes (`loss.bce`, `loss.bpr_max`, `loss.ssm`,
 `tensor.layer_norm`, the negative-scoring node of `model.score`) in place of
 graphs built from these ops. The tests keep the composed graphs as
 references, so the ops live here, built on the engine's `_wire` with the
 arithmetic they had in `sessrec.tensor`: the references stay bit-identical
-to the forms the fused nodes replaced.
+to the forms the fused nodes replaced. `make_batches` is the list-of-`Session`
+batcher that `data.make_batches` replaced, kept as its reference.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from sessrec import tensor as T
+from sessrec.data import SessionBatch
 from sessrec.tensor import Tensor, as_tensor
 
 
@@ -118,3 +121,34 @@ def score_negatives(state, packed, ids) -> Tensor:
     rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]
     out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
     return T.reshape(out, (positions, k))
+
+
+def make_batches(sessions, batch_size=128, max_len=50, pad_id=None, shuffle_rng=None, trim=False):
+    """Batches of a list of `Session`, each row filled by its own slice
+    assignments. It cannot fill a session of no events into a row wider than
+    one: `targets[i, :-1] = []` does not broadcast."""
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if not sessions:
+        return
+    if pad_id is None:
+        pad_id = max(max(s.items) for s in sessions) + 1
+
+    order = np.arange(len(sessions))
+    if shuffle_rng is not None:
+        order = shuffle_rng.permutation(len(sessions))
+
+    for start in range(0, len(sessions), batch_size):
+        members = [sessions[i] for i in order[start : start + batch_size]]
+        truncated = [s.items[-max_len:] for s in members]
+        width = max(len(t) for t in truncated) if trim else max_len
+        b = len(members)
+        ids = np.full((b, width), pad_id, dtype=np.int64)
+        targets = np.full((b, width), pad_id, dtype=np.int64)
+        mask = np.zeros((b, width), dtype=bool)
+        for i, items in enumerate(truncated):
+            n = len(items)
+            ids[i, :n] = items
+            targets[i, : n - 1] = items[1:]
+            mask[i, : n - 1] = True
+        yield SessionBatch(ids, targets, mask, pad_id, members)

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a small synthetic clickstream."""
 
 import csv
+import hashlib
 import json
 import re
 
@@ -55,9 +56,13 @@ class TestPrep:
                 ["catalog"] + [f"{split}_{column}" for split in ("train", "test")
                                for column in ("items", "ts", "offsets", "sids")])
             counts = {"n_items": len(blob["catalog"])}
+            digest = hashlib.sha256()
             for split in ("train", "test"):
                 counts[f"{split}_sessions"] = len(blob[f"{split}_sids"])
                 counts[f"{split}_events"] = len(blob[f"{split}_items"])
+                for column in ("items", "offsets"):
+                    digest.update(blob[f"{split}_{column}"].astype("<i8").tobytes())
+            counts["digest"] = digest.hexdigest()
         manifest = json.loads((prepared / "manifest.json").read_text())
         assert manifest == counts
         assert manifest["train_sessions"] > 0 and manifest["test_sessions"] > 0
@@ -230,6 +235,24 @@ class TestEvalVerb:
         err = capsys.readouterr().err
         assert (f"checkpoint {other} does not fit this run: manifest key 'train_sessions' "
                 f"is {sessions + 1} in the checkpoint but {sessions} in this run") in err
+        assert not (tmp_path / "eval-out" / "eval.json").exists()
+
+    def test_refuses_a_cache_with_swapped_items(self, tmp_path, prepared, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        with np.load(prepared / "data.npz") as blob:
+            arrays = dict(blob)
+        # two train items trade sessions: every count and frequency stays
+        items, offsets = arrays["train_items"], arrays["train_offsets"]
+        other = next(int(at) for at in offsets[1:-1] if items[at] != items[0])
+        items[[0, other]] = items[[other, 0]]
+        np.savez(prepared / "data.npz", **arrays)
+        capsys.readouterr()
+        code = main(["eval", "--input", str(prepared), "--checkpoint",
+                     str(run / "ckpt" / "epoch-1.bin"), "--output-dir", str(tmp_path / "eval-out")])
+        assert code == 2
+        assert "does not fit this run: manifest key 'digest'" in capsys.readouterr().err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
     @pytest.mark.parametrize("verb,truncated", [("eval", "data.npz"), ("eval", "checkpoint"),

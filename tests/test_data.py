@@ -1,5 +1,6 @@
 """Parsing, fixpoint preprocessing, temporal split, and batching tests."""
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import composed
 from sessrec import data as D
 from sessrec.errors import CacheError, ConfigError, EmptyDatasetError, ParseError
 
@@ -276,6 +278,76 @@ class TestBatches:
         expected = sorted(tuple(s[-max_len:]) for s in raw)
         assert rebuilt == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=12), min_size=1, max_size=20),
+        st.integers(2, 8),
+        st.integers(1, 7),
+        st.booleans(),
+        st.none() | st.integers(0, 2**16),
+        st.sampled_from([np.int64, np.int32]),
+        st.booleans(),
+    )
+    def test_columnar_fill_matches_the_per_row_reference(self, raw, max_len, batch_size, trim,
+                                                         seed, dtype, default_pad):
+        lengths = [len(s) for s in raw]
+        sessions = [D.Session(f"s{i}", list(s), list(range(len(s)))) for i, s in enumerate(raw)]
+        columns = D.Sessions([s.session_id for s in sessions],
+                             np.array([x for s in raw for x in s], dtype=dtype),
+                             np.arange(sum(lengths), dtype=dtype),
+                             np.cumsum([0] + lengths).astype(dtype))
+        pad = None if default_pad and all(lengths) else 10
+        # The reference cannot fill a session of no events; a stand-in of one
+        # pad event fills the row the columnar fill gives it: all pad, no
+        # valid position.
+        stand_in = [s if len(s) else D.Session(s.session_id, [pad], [0]) for s in sessions]
+
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        got = list(D.make_batches(columns, batch_size, max_len, pad, rng(), trim))
+        want = list(composed.make_batches(stand_in, batch_size, max_len, pad, rng(), trim))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # under trim, a batch of empty sessions only is one column narrower
+            assert g.width == w.width or (trim and (g.width, w.width) == (0, 1))
+            for name in ("item_ids", "targets", "mask"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name)[:, : g.width])
+                assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert g.pad_id == w.pad_id
+            assert isinstance(g.session_refs, D.Sessions)
+            assert g.session_refs.session_ids == [s.session_id for s in w.session_refs]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=8), st.data())
+    def test_sessions_index_like_a_list(self, raw, data):
+        plain = [D.Session(i, list(s), [10 * i + j for j in range(len(s))])
+                 for i, s in enumerate(raw)]
+        columns = D.as_sessions(plain)
+        n = len(plain)
+        assert len(columns) == n and D.as_sessions(columns) is columns
+        for i in range(-n - 2, n + 2):
+            for index in (i, np.int64(i)):
+                if -n <= i < n:
+                    one = columns[index]
+                    assert one == plain[i]
+                    assert type(one.items) is list and {type(x) for x in one.items} <= {int}
+                else:
+                    with pytest.raises(IndexError):
+                        columns[index]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        step = st.none() | st.integers(-3, 3).filter(bool)
+        for index in (slice(n, None), slice(3, 1), slice(data.draw(bound), data.draw(bound),
+                                                          data.draw(step))):
+            sliced = columns[index]
+            assert isinstance(sliced, D.Sessions)
+            assert list(sliced) == plain[index]
+            assert sliced.offsets[0] == 0 and sliced.offsets[-1] == len(sliced.items)
+        picks = data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else []
+        gathered = columns[np.array(picks, dtype=np.intp)]
+        assert isinstance(gathered, D.Sessions) and list(gathered) == [plain[i] for i in picks]
+        assert columns + columns == plain + plain
+
 
 def cache_events(key=lambda x: f"item{x}", session_key=int):
     rng = np.random.default_rng(23)
@@ -320,6 +392,22 @@ class TestPreparedCache:
                 assert order == sorted(ints) + sorted(k for k in order if isinstance(k, str))
                 assert {type(s.session_id) for s in ds.train + ds.test} == {int, str}
 
+    def test_splits_are_sessions_over_the_archive_arrays(self, tmp_path):
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
+        D.save_prepared(ds, tmp_path)
+        loaded = D.load_prepared(tmp_path)
+        with np.load(tmp_path / "data.npz") as blob:
+            for prefix in ("train", "test"):
+                for split in (getattr(ds, prefix), getattr(loaded, prefix)):
+                    assert isinstance(split, D.Sessions)
+                    for column, name in (("items", "items"), ("timestamps", "ts"),
+                                         ("offsets", "offsets")):
+                        array = getattr(split, column)
+                        np.testing.assert_array_equal(array, blob[f"{prefix}_{name}"])
+                        assert array.dtype == blob[f"{prefix}_{name}"].dtype == np.int64
+                    assert (json.loads(f"[{','.join(blob[f'{prefix}_sids'])}]")
+                            == split.session_ids)
+
     def test_manifest_counts(self, tmp_path):
         ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
         D.save_prepared(ds, tmp_path)
@@ -328,16 +416,6 @@ class TestPreparedCache:
         assert manifest["train_events"] == sum(len(s) for s in ds.train)
         assert manifest["n_items"] == ds.catalog.n_items
         assert sum(int(f) for f in ds.catalog.frequencies) == manifest["train_events"]
-
-    def test_sessions_share_one_int_per_item(self):
-        # ids past CPython's small-int cache, so sharing is not automatic
-        items = np.array([300, 301, 300, 302, 301, 300], dtype=np.int64)
-        sessions = D.columns_to_sessions(["a", "b"], items, np.arange(6), np.array([0, 3, 6]))
-        assert [s.items for s in sessions] == [[300, 301, 300], [302, 301, 300]]
-        assert [s.timestamps for s in sessions] == [[0, 1, 2], [3, 4, 5]]
-        flat = [x for s in sessions for x in s.items]
-        assert {type(x) for x in flat} == {int}
-        assert len({id(x) for x in flat}) == 3
 
     def test_support_scope_train_counts_on_train_only(self):
         # item Z has support 2 overall but only 1 inside the train window
@@ -387,7 +465,7 @@ class TestCacheValidation:
         alone = D.load_prepared(tmp_path)
         for loaded in (edited, alone):
             assert loaded.manifest() == ds.manifest()
-            assert loaded.train == ds.train and loaded.test == ds.test
+            assert list(loaded.train) == list(ds.train) and list(loaded.test) == list(ds.test)
             assert loaded.catalog.id_map == ds.catalog.id_map
             np.testing.assert_array_equal(loaded.catalog.frequencies, ds.catalog.frequencies)
 
@@ -412,6 +490,13 @@ class TestCacheValidation:
     def test_offsets_not_monotone(self, tmp_path):
         self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate([o[:2], o[1:2] - 1, o[3:]]))
         with pytest.raises(CacheError, match="train_offsets"):
+            D.load_prepared(tmp_path)
+
+    def test_unsigned_offsets_not_monotone(self, tmp_path):
+        # np.diff of unsigned offsets wraps around instead of going negative
+        self._corrupt(tmp_path, train_offsets=lambda o: np.concatenate(
+            [o[:2], o[1:2] - 1, o[3:]]).astype(np.uint64))
+        with pytest.raises(CacheError, match="train_offsets must rise monotonically"):
             D.load_prepared(tmp_path)
 
     def test_offsets_not_ending_at_items(self, tmp_path):
@@ -611,10 +696,16 @@ class TestPrepareOracle:
         assert ds.catalog.frequencies.tolist() == frequencies
         counted = np.bincount([i for s in ds.train for i in s.items], minlength=len(id_map))
         np.testing.assert_array_equal(ds.catalog.frequencies, counted)
+        digest = hashlib.sha256()
+        for split in (train, test):
+            digest.update(np.array([i for _, items, _ in split for i in items], "<i8").tobytes())
+            offsets = np.cumsum([0] + [len(items) for _, items, _ in split])
+            digest.update(offsets.astype("<i8").tobytes())
         assert ds.manifest() == {
             "train_sessions": len(train),
             "train_events": sum(len(items) for _, items, _ in train),
             "test_sessions": len(test),
             "test_events": sum(len(items) for _, items, _ in test),
             "n_items": len(id_map),
+            "digest": digest.hexdigest(),
         }

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sessrec import config as C
 from sessrec import model as M
 from sessrec import train as TR
-from sessrec.data import Catalog, PreparedDataset, Session, make_batches
+from sessrec.data import Catalog, PreparedDataset, Session, Sessions, make_batches
 from sessrec.errors import CacheError, ConfigError, DivergenceError, PoolExhaustedError
 from sessrec.tensor import Tensor
 
@@ -257,8 +257,24 @@ class TestCheckpointing:
     def test_resume_refuses_another_dataset(self, tmp_path):
         TR.train(toy_config(**{"train.epochs": 1}), toy_dataset(), out_dir=tmp_path)
         path = tmp_path / "ckpt" / "epoch-1.bin"
-        with pytest.raises(ConfigError, match="manifest key 'test_events' is 21 in the checkpoint but 20"):
+        # the digest sorts before the counts, so it is the key named
+        with pytest.raises(ConfigError, match="manifest key 'digest' is '[0-9a-f]{64}' in the "
+                                              "checkpoint but '[0-9a-f]{64}' in this run"):
             TR.train(toy_config(), toy_dataset(seed=1), resume_from=path)
+
+    def test_resume_refuses_a_dataset_with_swapped_items(self, tmp_path):
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        # two train items trade sessions: every count and frequency stays
+        items, offsets = ds.train.items.copy(), ds.train.offsets
+        other = next(int(at) for at in offsets[1:-1] if items[at] != items[0])
+        items[[0, other]] = items[[other, 0]]
+        swapped = PreparedDataset(Sessions(ds.train.session_ids, items, ds.train.timestamps,
+                                           offsets), ds.test, ds.catalog)
+        counts = {key: value for key, value in ds.manifest().items() if key != "digest"}
+        assert counts.items() < swapped.manifest().items()
+        with pytest.raises(ConfigError, match="manifest key 'digest'"):
+            TR.train(toy_config(), swapped, resume_from=tmp_path / "ckpt" / "epoch-1.bin")
 
     def test_resume_refuses_a_checkpoint_without_its_run_record(self, tmp_path):
         ds = toy_dataset()
