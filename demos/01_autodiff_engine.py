@@ -22,9 +22,9 @@ twice = T.add(a, a)
 twice.backward()
 print("d(a+a)/da =", a.grad, "(expected [2.])")
 
-# Stable softmax: no overflow at extreme logits, rows sum to one.
-s = T.softmax(T.Tensor([1000.0, 0.0, -1000.0]))
-print("softmax([1000,0,-1000]) =", s.data, "sum =", s.data.sum())
+# Layer norm is one node: each row comes out with zero mean and unit variance.
+h = T.layer_norm(T.Tensor([[1000.0, 0.0, -1000.0]]), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
+print("layer_norm([1000,0,-1000]) =", h.data, "mean =", h.data.mean())
 
 # Every differentiable op is validated against central finite differences.
 w.zero_grad()

@@ -16,6 +16,7 @@ negatives, a listwise loss, and top-100 filtering.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .data import atomic_write
@@ -172,6 +173,12 @@ def validate(config: dict) -> dict:
         raise ConfigError(
             f"negs.topk={out['negs.topk']} exceeds the {total} sampled negatives"
         )
+    for key in ("train.lr", "train.eps"):
+        if not (math.isfinite(out[key]) and out[key] > 0.0):
+            raise ConfigError(f"{key} must be finite and > 0, got {out[key]}")
+    for key in ("train.beta1", "train.beta2"):
+        if not 0.0 <= out[key] < 1.0:
+            raise ConfigError(f"{key} must be in [0, 1), got {out[key]}")
     if out["model.hidden_dim"] % out["model.num_heads"] != 0:
         raise ConfigError("model.hidden_dim must be divisible by model.num_heads")
     if not 0.0 < out["data.fraction"] <= 1.0:

@@ -5,8 +5,11 @@ position t must rank the item at t+1 against the entire catalog. Candidate
 sampling is never used. Ties are resolved pessimistically: items scoring
 exactly the target's score are ranked ahead of it, so a constant-score model
 earns zero recall rather than an inflated one. Scores come from BLAS products
-of one fixed tile shape, so no rank depends on the batch size, the chunk size
-or which transitions share a batch.
+of one fixed tile shape, so no rank depends on the chunk size. The hidden
+states they score are not batch-invariant: an eval batch is trimmed to its
+longest session and the encoder packs its real items, and BLAS may sum a
+product's rows differently at another width or row count, so a near-tied
+rank can depend on which sessions share a batch.
 
 One loop batches the test sessions and ranks each batch; `evaluate` sums
 the recall and reciprocal-rank contributions of its ranks, and

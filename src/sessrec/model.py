@@ -7,6 +7,12 @@ two-layer pointwise feed-forward with ReLU. The representation at position t
 predicts the item at t+1; scores are dot products against the shared item
 embedding table, whose last row is reserved for padding.
 
+The encoder runs on the N real items of a batch only, packed as [N, d]
+rows: no embedding lookup, projection, feed-forward, layer norm, residual
+add or dropout sees a padded slot. Causal attention is one graph node
+(`causal_attention`) that scatters the packed q, k and v onto the
+[b, heads, W, dh] grid and returns the mixed rows packed again.
+
 Training scores only the P valid positions of a batch (`pack`), so padding
 is never scored, filtered or back-propagated. Negatives are scored at their
 sampling granularity, one part of the `NegativeSet` at a time and one graph
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SessionBatch, atomic_write, load_arrays
-from .errors import CacheError, ConfigError, ShapeError
+from .errors import CacheError, ConfigError, NumericError, ShapeError
 from .sampler import NegativeSet, rng_stream
 from .tensor import Tensor
 
@@ -122,8 +128,10 @@ def forward(
 ) -> Tensor:
     """Encode a batch; position t attends only to positions <= t.
 
-    Returns hidden states of shape [b, W, d]. Outputs at padded positions are
-    computed but carry no loss contribution (the batch mask gates them).
+    Returns hidden states of shape [b, W, d]. Every layer runs on the N real
+    items of the batch only (the slots whose id is not the pad row), packed
+    as [N, d] rows; padded slots of the result are exactly 0. Padding must
+    trail each row's items, as `make_batches` lays it out.
     """
     cfg = state.config
     if mode not in ("train", "eval"):
@@ -135,35 +143,39 @@ def forward(
     b, width = ids.shape
     if width > cfg.max_len:
         raise ShapeError(f"batch width {width} exceeds model max_len {cfg.max_len}")
+    is_real = ids != cfg.pad_id
+    after_pad = (is_real[:, 1:] > is_real[:, :-1]).any(axis=1)
+    if after_pad.any():
+        raise ShapeError(f"batch row {int(np.argmax(after_pad))} has an item after padding")
+    real = np.flatnonzero(is_real)  # flat [b, W] indices of the N real items
 
     p = state.params
-    d, heads = cfg.hidden_dim, cfg.num_heads
-    dh = d // heads
+    d = cfg.hidden_dim
 
-    x = T.mul(T.gather_rows(p["item_emb"], ids), np.sqrt(d))
-    x = T.add(x, T.gather_rows(p["pos_emb"], np.arange(width)))
-    x = T.dropout(x, cfg.dropout, rng, training)
+    def dropout(x: Tensor) -> Tensor:
+        # the mask is drawn over the whole [b, W, d] grid, so the dropout
+        # stream does not depend on where the padding is
+        if not training:
+            return x
+        drawn = rng.random((b * width, d))[real]
+        return T.mul(x, (drawn >= cfg.dropout) / (1.0 - cfg.dropout))
 
-    causal = np.triu(np.full((width, width), _NEG_INF), k=1)[None, None]
+    def linear(h: Tensor, prefix: str, name: str) -> Tensor:
+        return T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
+
+    x = T.mul(T.gather_rows(p["item_emb"], ids.reshape(-1)[real]), np.sqrt(d))
+    x = T.add(x, T.gather_rows(p["pos_emb"], real % width))
+    x = dropout(x)
 
     def attention(h: Tensor, prefix: str) -> Tensor:
-        def split(name):  # [b, W, d] projection -> [b, heads, W, dh]
-            proj = T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
-            return T.transpose(T.reshape(proj, (b, width, heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = split("q"), split("k"), split("v")
-        logits = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), Tensor(causal))
-        weights = T.dropout(T.softmax(logits, axis=-1), cfg.dropout, rng, training)
-        mixed = T.matmul(weights, v)
-        mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, width, d))
-        out = T.add(T.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
-        return T.dropout(out, cfg.dropout, rng, training)
+        q, k, v = (linear(h, prefix, name) for name in "qkv")
+        mixed = causal_attention(q, k, v, real, (b, width), cfg.num_heads,
+                                 cfg.dropout if training else 0.0, rng)
+        return dropout(linear(mixed, prefix, "o"))
 
     def feed_forward(h: Tensor, prefix: str) -> Tensor:
-        inner = T.relu(T.add(T.matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        inner = T.dropout(inner, cfg.dropout, rng, training)
-        out = T.add(T.matmul(inner, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
-        return T.dropout(out, cfg.dropout, rng, training)
+        inner = dropout(T.relu(linear(h, prefix, "1")))
+        return dropout(linear(inner, prefix, "2"))
 
     for layer in range(cfg.num_layers):
         lp = f"layers.{layer}"
@@ -181,7 +193,62 @@ def forward(
             )
     if cfg.prenorm:
         x = T.layer_norm(x, p["final.gain"], p["final.bias"])
-    return x
+    return T.scatter_rows(x, real, (b, width))
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, lead: tuple[int, int],
+                     heads: int, rate: float = 0.0, rng=None) -> Tensor:
+    """Causal multi-head attention over packed rows, as one node.
+
+    `q`, `k` and `v` are [N, d] rows at the flat indices `rows` of a [b, W]
+    grid. The forward scatters them onto a zero-filled [b, heads, W, dh]
+    grid and repeats the composed graph's arithmetic in order: scale, the
+    causal -1e9 add, the max-shifted softmax, dropout at `rate` (its mask
+    drawn from `rng` over the whole [b, heads, W, W] block) and `weights @
+    v`; it returns the mixed [N, d] rows. The backward runs the composed
+    graph's products on operands of the same layout, so scores and
+    gradients are bit-identical to that graph's. A non-finite logit raises
+    NumericError, as the softmax did.
+    """
+    b, width = lead
+    d = q.shape[-1]
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def grid(x: np.ndarray) -> np.ndarray:  # [N, d] -> [b, heads, W, dh] view
+        full = np.zeros((b, width, d))
+        full.reshape(-1, d)[rows] = x
+        return full.reshape(b, width, heads, dh).transpose(0, 2, 1, 3)
+
+    def rows_of(x: np.ndarray) -> np.ndarray:  # [b, heads, W, dh] -> [N, d] rows
+        return x.transpose(0, 2, 1, 3).reshape(b * width, d)[rows]
+
+    qg, kg, vg = grid(q.data), grid(k.data), grid(v.data)
+    logits = (qg @ kg.transpose(0, 1, 3, 2)) * scale
+    logits = logits + np.triu(np.full((width, width), _NEG_INF), k=1)[None, None]
+    if not np.isfinite(logits).all():
+        bad = logits[~np.isfinite(logits)][0]
+        raise NumericError(f"softmax input contains non-finite value {bad!r}")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    mask = None
+    if rate > 0.0:
+        mask = (rng.random(weights.shape) >= rate) / (1.0 - rate)
+    kept = weights if mask is None else weights * mask
+
+    def backward(g):
+        gg = grid(g)
+        gkept = gg @ np.swapaxes(vg, -1, -2)
+        gv = np.swapaxes(kept, -1, -2) @ gg
+        if mask is not None:
+            gkept = gkept * mask
+        glogits = weights * (gkept - (gkept * weights).sum(axis=-1, keepdims=True))
+        glogits = glogits * scale
+        gq = glogits @ kg
+        gk = np.swapaxes(qg, -1, -2) @ glogits
+        return rows_of(gq), rows_of(gk.transpose(0, 1, 3, 2)), rows_of(gv)
+
+    return T._wire(rows_of(kept @ vg), (q, k, v), backward)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Deliberately small: only the operations the library runs are provided
 (matrix multiply, addition and multiplication with NumPy broadcasting, ReLU,
-sum, reshape, transpose, softmax, layer norm, embedding gather, row and
-top-k picks, concatenation, dropout). The finer ops that only the tests
+sum, reshape, layer norm, embedding gather, row picks and their zero-filled
+scatter, top-k picks, concatenation). The finer ops that only the tests
 compose into reference graphs live in `tests/composed.py`. The reference
 numeric type is float64 so that finite-difference gradient checks are
 meaningful.
@@ -12,10 +12,10 @@ meaningful.
 composed graph's arithmetic, so its outputs are bit-identical to it. A
 matmul whose right operand is a 2-d weight shared across a batched left
 operand gets the weight's gradient from one product over all rows. The
-ranking losses and the negative-scoring node are fused nodes too, built in
-`loss.py` and `model.py` on `_wire`. Table gradients are scattered from a
-feature-major `[d, N]` row gradient, one `np.bincount` per feature
-(`scatter_features`), bit-identical to `np.add.at`.
+ranking losses, causal attention and the negative-scoring node are fused
+nodes too, built in `loss.py` and `model.py` on `_wire`. Table gradients
+are scattered from a feature-major `[d, N]` row gradient, one `np.bincount`
+per feature (`scatter_features`), bit-identical to `np.add.at`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ItemIdError, NumericError, ShapeError
+from .errors import ItemIdError, ShapeError
 
 _grad_enabled = True
 
@@ -263,37 +263,8 @@ def reshape(a, shape) -> Tensor:
     return _wire(out, (a,), backward)
 
 
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (g.transpose(inverse),)
-
-    return _wire(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # structured ops
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis`; outputs sum to one there."""
-    a = as_tensor(a)
-    if not np.isfinite(a.data).all():
-        bad = a.data[~np.isfinite(a.data)][0]
-        raise NumericError(f"softmax input contains non-finite value {bad!r}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _wire(out, (a,), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-8) -> Tensor:
@@ -392,6 +363,22 @@ def take_rows(a, rows) -> Tensor:
     return _wire(out, (a,), backward)
 
 
+def scatter_rows(a, rows, lead: tuple[int, ...]) -> Tensor:
+    """The transpose of `take_rows`: a zero `[*lead, n]` block whose rows
+    `rows` (over the flattened leading axes) hold the rows of `[len(rows), n]`
+    `a`. The rows must be distinct; backward takes them back out."""
+    a = as_tensor(a)
+    lead = tuple(lead)
+    index = np.unravel_index(np.asarray(rows, dtype=np.int64), lead)
+    out = np.zeros(lead + a.shape[-1:])
+    out[index] = a.data
+
+    def backward(g):
+        return (g[index],)
+
+    return _wire(out, (a,), backward)
+
+
 def take_along_last(a, indices) -> Tensor:
     """Gather along the last axis; non-selected positions get zero gradient.
 
@@ -420,15 +407,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return np.split(g, bounds, axis=axis)
 
     return _wire(out, tensors, backward)
-
-
-def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Seeded Bernoulli mask with inverted scaling; identity when not training."""
-    a = as_tensor(a)
-    if not training or rate <= 0.0:
-        return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask))
 
 
 # ---------------------------------------------------------------------------

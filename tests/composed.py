@@ -1,21 +1,26 @@
-"""Fine-grained autodiff ops that only the tests compose, and the per-row
-batch fill that the columnar one replaced.
+"""Fine-grained autodiff ops that only the tests compose, the grid encoder
+and the per-row batch fill that the packed and columnar ones replaced.
 
 The library runs fused nodes (`loss.bce`, `loss.bpr_max`, `loss.ssm`,
-`tensor.layer_norm`, the negative-scoring node of `model.score`) in place of
-graphs built from these ops. The tests keep the composed graphs as
-references, so the ops live here, built on the engine's `_wire` with the
-arithmetic they had in `sessrec.tensor`: the references stay bit-identical
-to the forms the fused nodes replaced. `make_batches` is the list-of-`Session`
-batcher that `data.make_batches` replaced, kept as its reference.
+`tensor.layer_norm`, `model.causal_attention`, the negative-scoring node of
+`model.score`) in place of graphs built from these ops. The tests keep the
+composed graphs as references, so the ops live here, built on the engine's
+`_wire` with the arithmetic they had in `sessrec.tensor`: the references
+stay bit-identical to the forms the fused nodes replaced. `forward` is the
+encoder that ran every layer over the whole padded [b, W, d] block before
+`model.forward` packed the real items, kept with its ops moved here.
+`make_batches` is the list-of-`Session` batcher that `data.make_batches`
+replaced, kept as its reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.data import SessionBatch
+from sessrec.errors import ConfigError, NumericError, ShapeError
 from sessrec.tensor import Tensor, as_tensor
 
 
@@ -103,6 +108,137 @@ def where_mask(mask, a, fill: float = 0.0) -> Tensor:
     return T._wire(out, (a,), backward)
 
 
+def transpose(a, axes) -> Tensor:
+    a = as_tensor(a)
+    axes = tuple(axes)
+    out = a.data.transpose(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        return (g.transpose(inverse),)
+
+    return T._wire(out, (a,), backward)
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Stable softmax along `axis`; outputs sum to one there."""
+    a = as_tensor(a)
+    if not np.isfinite(a.data).all():
+        bad = a.data[~np.isfinite(a.data)][0]
+        raise NumericError(f"softmax input contains non-finite value {bad!r}")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return T._wire(out, (a,), backward)
+
+
+def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+    """Seeded Bernoulli mask with inverted scaling; identity when not training."""
+    a = as_tensor(a)
+    if not training or rate <= 0.0:
+        return a
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return T.mul(a, Tensor(mask))
+
+
+def causal_attention(q, k, v, rows, lead, heads, rate=0.0, rng=None) -> Tensor:
+    """Packed causal attention as the composed graph that
+    `model.causal_attention` fuses: scatter the [N, d] rows onto the grid,
+    split the heads, then scale, causal add, softmax, dropout, `weights @
+    v`, and take the mixed rows back."""
+    b, width = lead
+    d = q.shape[-1]
+    dh = d // heads
+
+    def split(x):
+        return transpose(T.reshape(T.scatter_rows(x, rows, lead), (b, width, heads, dh)),
+                         (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    causal = np.triu(np.full((width, width), M._NEG_INF), k=1)[None, None]
+    logits = T.add(T.mul(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)),
+                   Tensor(causal))
+    weights = dropout(softmax(logits, axis=-1), rate, rng, rate > 0.0)
+    mixed = T.reshape(transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b, width, d))
+    return T.take_rows(mixed, rows)
+
+
+def forward(
+    state,
+    batch,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """The grid encoder that `model.forward` packs: every layer runs on the
+    whole padded [b, W, d] block. Position t attends only to positions <= t.
+
+    Returns hidden states of shape [b, W, d]. Outputs at padded positions are
+    computed but carry no loss contribution (the batch mask gates them).
+    """
+    cfg = state.config
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    training = mode == "train" and cfg.dropout > 0.0
+    if training and rng is None:
+        raise ConfigError("training-mode forward needs an rng for dropout")
+    ids = batch.item_ids
+    b, width = ids.shape
+    if width > cfg.max_len:
+        raise ShapeError(f"batch width {width} exceeds model max_len {cfg.max_len}")
+
+    p = state.params
+    d, heads = cfg.hidden_dim, cfg.num_heads
+    dh = d // heads
+
+    x = T.mul(T.gather_rows(p["item_emb"], ids), np.sqrt(d))
+    x = T.add(x, T.gather_rows(p["pos_emb"], np.arange(width)))
+    x = dropout(x, cfg.dropout, rng, training)
+
+    causal = np.triu(np.full((width, width), M._NEG_INF), k=1)[None, None]
+
+    def attention(h: Tensor, prefix: str) -> Tensor:
+        def split(name):  # [b, W, d] projection -> [b, heads, W, dh]
+            proj = T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
+            return transpose(T.reshape(proj, (b, width, heads, dh)), (0, 2, 1, 3))
+
+        q, k, v = split("q"), split("k"), split("v")
+        logits = T.add(T.mul(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), Tensor(causal))
+        weights = dropout(softmax(logits, axis=-1), cfg.dropout, rng, training)
+        mixed = T.matmul(weights, v)
+        mixed = T.reshape(transpose(mixed, (0, 2, 1, 3)), (b, width, d))
+        out = T.add(T.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        return dropout(out, cfg.dropout, rng, training)
+
+    def feed_forward(h: Tensor, prefix: str) -> Tensor:
+        inner = T.relu(T.add(T.matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+        inner = dropout(inner, cfg.dropout, rng, training)
+        out = T.add(T.matmul(inner, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        return dropout(out, cfg.dropout, rng, training)
+
+    for layer in range(cfg.num_layers):
+        lp = f"layers.{layer}"
+        if cfg.prenorm:
+            normed = T.layer_norm(x, p[f"{lp}.ln1.gain"], p[f"{lp}.ln1.bias"])
+            x = T.add(x, attention(normed, f"{lp}.attn"))
+            normed = T.layer_norm(x, p[f"{lp}.ln2.gain"], p[f"{lp}.ln2.bias"])
+            x = T.add(x, feed_forward(normed, f"{lp}.ffn"))
+        else:
+            x = T.layer_norm(
+                T.add(x, attention(x, f"{lp}.attn")), p[f"{lp}.ln1.gain"], p[f"{lp}.ln1.bias"]
+            )
+            x = T.layer_norm(
+                T.add(x, feed_forward(x, f"{lp}.ffn")), p[f"{lp}.ln2.gain"], p[f"{lp}.ln2.bias"]
+            )
+    if cfg.prenorm:
+        x = T.layer_norm(x, p["final.gain"], p["final.bias"])
+    return x
+
+
 def score_negatives(state, packed, ids) -> Tensor:
     """[P, k] scores of one negative part as the composed graph that
     `model._score_negatives` fuses: `gather_rows` + `matmul` per granularity,
@@ -112,10 +248,10 @@ def score_negatives(state, packed, ids) -> Tensor:
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
         rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
-        return T.matmul(packed.hidden, T.transpose(rows, (1, 0)))
+        return T.matmul(packed.hidden, transpose(rows, (1, 0)))
     if gt == 1:
         rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
-        out = T.matmul(packed.grid, T.transpose(rows, (0, 2, 1)))  # [b, W, k]
+        out = T.matmul(packed.grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
         return T.take_rows(out, packed.rows)
     positions = packed.rows.size
     rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]

@@ -147,6 +147,16 @@ class TestTrain:
                      "--negs.topk", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("key,value", [("train.lr", "nan"), ("train.beta1", "1"),
+                                           ("train.beta2", "1"), ("train.eps", "0")])
+    def test_out_of_range_optimizer_setting_rejected(self, tmp_path, prepared, capsys,
+                                                     key, value):
+        code = main(["train", "--input", str(prepared), "--output-dir",
+                     str(tmp_path / "x"), f"--{key}", value])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_flagship_preset_writes_one_checkpoint_per_epoch(self, tmp_path, prepared):
         out = tmp_path / "flagship"
         code = main(["train", "--input", str(prepared), "--output-dir", str(out),

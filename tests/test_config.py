@@ -87,6 +87,30 @@ class TestValidation:
             C.resolve(overrides={"negs.uniform.count": 0, "negs.inbatch.count": 0,
                                  "negs.frequency.count": 0})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="train.lr must be finite and > 0"):
+            C.resolve(overrides={"train.lr": value})
+
+    @pytest.mark.parametrize("value", [1.0, -0.1, float("nan")])
+    def test_beta1_must_lie_in_unit_interval(self, value):
+        with pytest.raises(ConfigError, match=r"train.beta1 must be in \[0, 1\)"):
+            C.resolve(overrides={"train.beta1": value})
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, float("nan")])
+    def test_beta2_must_lie_in_unit_interval(self, value):
+        with pytest.raises(ConfigError, match=r"train.beta2 must be in \[0, 1\)"):
+            C.resolve(overrides={"train.beta2": value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="train.eps must be finite and > 0"):
+            C.resolve(overrides={"train.eps": value})
+
+    def test_optimizer_bounds_admit_their_edges(self):
+        cfg = C.resolve(overrides={"train.beta1": 0.0, "train.beta2": 0.0, "train.lr": 5e-324})
+        assert (cfg["train.beta1"], cfg["train.beta2"], cfg["train.lr"]) == (0.0, 0.0, 5e-324)
+
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ConfigError):
             C.resolve(overrides={"model.hidden_dim": 10, "model.num_heads": 3})

@@ -47,7 +47,7 @@ def bce_reference(pos, negs, mask=None):
 
 def bpr_max_reference(pos, negs, lambda_reg=1.0, mask=None):
     mask = None if mask is None else np.asarray(mask, dtype=bool)
-    weights = T.softmax(negs, axis=-1)
+    weights = C.softmax(negs, axis=-1)
     diffs = C.sub(T.reshape(pos, pos.shape + (1,)), negs)
     ranking = T.tsum(T.mul(weights, C.sigmoid(diffs)), axis=-1)
     if mask is not None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import composed
 from sessrec import config as C
 from sessrec import model as M
 from sessrec import tensor as T
@@ -51,12 +52,12 @@ def reference_score_negatives(state, hidden, ids):
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
         rows = T.gather_rows(emb, ids[0, 0])
-        flat = T.matmul(T.reshape(hidden, (b * width, d)), T.transpose(rows, (1, 0)))
+        flat = T.matmul(T.reshape(hidden, (b * width, d)), composed.transpose(rows, (1, 0)))
         return T.reshape(flat, (b, width, k))
     if gt == 1:
         rows = T.gather_rows(emb, ids[:, 0])
-        out = T.matmul(rows, T.transpose(hidden, (0, 2, 1)))
-        return T.transpose(out, (0, 2, 1))
+        out = T.matmul(rows, composed.transpose(hidden, (0, 2, 1)))
+        return composed.transpose(out, (0, 2, 1))
     rows = T.gather_rows(emb, ids)
     out = T.matmul(rows, T.reshape(hidden, (b, width, d, 1)))
     return T.reshape(out, (b, width, k))
@@ -214,11 +215,11 @@ def test_take_rows_of_a_transposed_block():
     a = T.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     rows = np.array([0, 1, 3, 4])
     weights = rng.standard_normal((rows.size, 5))
-    picked = T.take_rows(T.transpose(a, (0, 2, 1)), rows)  # [b, W, k] view of [b, k, W]
+    picked = T.take_rows(composed.transpose(a, (0, 2, 1)), rows)  # [b, W, k] view of [b, k, W]
     np.testing.assert_array_equal(
         picked.data, np.transpose(a.data, (0, 2, 1)).reshape(-1, 5)[rows])
     err = T.gradcheck(lambda: T.tsum(T.mul(
-        T.take_rows(T.transpose(a, (0, 2, 1)), rows), weights)), [a])
+        T.take_rows(composed.transpose(a, (0, 2, 1)), rows), weights)), [a])
     assert err < 1e-8
 
 
