@@ -16,10 +16,12 @@ add or dropout sees a padded slot. Causal attention is one graph node
 Training scores only the P valid positions of a batch (`pack`), so padding
 is never scored, filtered or back-propagated. Negatives are scored at their
 sampling granularity, one part of the `NegativeSet` at a time and one graph
-node per part: a batchwise pool is one [P, d] x [d, n] product shared by
-the whole batch, so the pool is never expanded per session. The node's
-backward hands `item_emb` its gradient directly, scattered from a
-feature-major row gradient that BLAS writes in that layout.
+node per part over the packed [P, d] rows: a batchwise pool is one
+[P, d] x [d, n] product shared by the whole batch, and a sessionwise pool
+one product over its session's valid rows, so no pool is expanded per
+session or scored at a padded slot. The node's backward hands `item_emb`
+its gradient directly, scattered from a feature-major row gradient that
+BLAS writes in that layout.
 """
 
 from __future__ import annotations
@@ -255,11 +257,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, lead: tu
 class Packed:
     """Encoder output with the valid positions of its batch picked out.
 
-    `grid` is the [b, W, d] hidden block, `rows` the ascending flat indices
-    of the valid positions in [b, W], and `hidden` the [P, d] states there.
+    `lead` is the batch's (b, W) shape, `rows` the ascending flat indices of
+    the valid positions in [b, W], and `hidden` the [P, d] states there.
     """
 
-    grid: Tensor
+    lead: tuple[int, int]
     rows: np.ndarray
     hidden: Tensor
 
@@ -268,12 +270,12 @@ def pack(hidden: Tensor, mask=None) -> Packed:
     """Pick the positions where `mask` is true (every position if None)."""
     b, width, d = hidden.shape
     if mask is None:
-        return Packed(hidden, np.arange(b * width), T.reshape(hidden, (b * width, d)))
+        return Packed((b, width), np.arange(b * width), T.reshape(hidden, (b * width, d)))
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (b, width):
         raise ShapeError(f"mask {mask.shape} does not match hidden {hidden.shape}")
     rows = np.flatnonzero(mask)
-    return Packed(hidden, rows, T.take_rows(hidden, rows))
+    return Packed((b, width), rows, T.take_rows(hidden, rows))
 
 
 def score(state: ModelState, hidden, item_ids) -> Tensor:
@@ -286,7 +288,7 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
     granularity, and the scores are joined along the sample axis.
     """
     packed = hidden if isinstance(hidden, Packed) else pack(hidden)
-    lead = packed.grid.shape[:2]
+    lead = packed.lead
     if isinstance(item_ids, NegativeSet) or np.ndim(item_ids) != 2:
         if not isinstance(item_ids, NegativeSet):
             item_ids = NegativeSet(np.asarray(item_ids))
@@ -295,7 +297,7 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
     else:
         ids = np.asarray(item_ids)
         if ids.shape != lead:
-            raise ShapeError(f"target ids {ids.shape} do not match hidden {packed.grid.shape}")
+            raise ShapeError(f"target ids {ids.shape} do not match batch {lead}")
         rows = T.gather_rows(state.params["item_emb"], ids.reshape(-1)[packed.rows])
         out = T.tsum(T.mul(packed.hidden, rows), axis=-1)
     if isinstance(hidden, Packed):
@@ -304,67 +306,56 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
 
 
 def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tensor:
-    """[P, k] scores of one part's 3-d ids: one node per granularity.
+    """[P, k] scores of one part's 3-d ids, as one node over the packed rows.
 
-    The node's parents are the hidden states (the packed [P, d] rows, or the
-    [b, W, d] grid for a sessionwise part) and `item_emb`. Backward has BLAS
-    write the gathered rows' gradient feature-major, as a [d, N] block, and
-    scatters it into the table one feature at a time (`T.scatter_features`).
-    Each product is the one the composed gather-matmul graph runs, with its
-    operands in the same order, so scores and gradients are bit-identical
-    to that graph's.
+    The node's parents are the packed [P, d] rows and `item_emb`. A pooled
+    [g, 1, k] part is one product per run of rows that shares a pool: all P
+    rows (g = 1), or each session's contiguous valid rows (g = b). Backward
+    has BLAS write the gathered rows' gradient feature-major, a [d, k] slot
+    per run, and scatters it into the table one feature at a time
+    (`T.scatter_features`). Each product is the one the composed graph runs,
+    with its operands in the same order, so scores and gradients are
+    bit-identical to that graph's.
     """
-    emb, grid, hidden = state.params["item_emb"], packed.grid, packed.hidden
-    n_rows = emb.shape[0]
-    b, width, d = grid.shape
+    emb, hidden = state.params["item_emb"], packed.hidden
+    table, h = emb.data, hidden.data
+    n_rows = table.shape[0]
+    (b, width), (positions, d) = packed.lead, hidden.shape
     gb, gt, k = ids.shape
-    if gb == 1 and gt == 1:
-        # one [P, d] x [d, k] product: its backward needs no [b, d, k] temporary
-        pool = T.row_ids(ids[0, 0], n_rows)
-        rows = emb.data[pool]  # [k, d]
-
-        def backward(g):
-            return g @ rows, T.scatter_features(pool, hidden.data.T @ g, n_rows)
-
-        return T._wire(hidden.data @ rows.T, (hidden, emb), backward)
     if gt == 1:
-        if gb != b:
+        if gb not in (1, b):
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
-        pool = T.row_ids(ids[:, 0], n_rows)
-        table = emb.data
-        # One session at a time: its [k, d] rows stay in cache, and no
-        # [b, k, d] block is allocated or kept for backward. Each product is
-        # the one a batched matmul runs for that session.
-        out = np.empty((b, width, k))  # every session's scores at all W positions
-        for i in range(b):
-            np.matmul(grid.data[i], table[pool[i]].T, out=out[i])
+        # run i: the valid rows among the flat slots [i n, (i + 1) n), n = bW/g;
+        # each run's [k, d] rows are gathered again in backward, not held
+        bounds = np.searchsorted(packed.rows, np.arange(gb + 1) * (b * width // gb))
+        pool = T.row_ids(ids[:, 0], n_rows)  # [g, k]
+        runs = list(zip(pool, bounds[:-1], bounds[1:]))
+        out = np.empty((positions, k))
+        for run_ids, lo, hi in runs:
+            np.matmul(h[lo:hi], table[run_ids].T, out=out[lo:hi])
 
         def backward(g):
-            full = np.zeros((b, width, k))
-            full.reshape(-1, k)[packed.rows] = g
-            ggrid = np.empty((b, width, d))
-            # the rows' gradient, feature-major: grid-left scoring makes each
-            # session's share the [d, k] product grid^T @ G
-            cols = np.empty((d, b, k))
-            for i in range(b):
-                np.matmul(full[i], table[pool[i]], out=ggrid[i])
-                np.matmul(grid.data[i].T, full[i], out=cols[:, i])
-            return ggrid, T.scatter_features(pool, cols.reshape(d, -1), n_rows)
+            ghidden = np.empty((positions, d))
+            cols = np.empty((d, gb, k))
+            for i, (run_ids, lo, hi) in enumerate(runs):
+                np.matmul(g[lo:hi], table[run_ids], out=ghidden[lo:hi])
+                np.matmul(h[lo:hi].T, g[lo:hi], out=cols[:, i])
+            return ghidden, T.scatter_features(pool, cols.reshape(d, -1), n_rows)
 
-        return T._wire(out.reshape(-1, k)[packed.rows], (grid, emb), backward)
+        return T._wire(out, (hidden, emb), backward)
     if (gb, gt) != (b, width):
-        raise ShapeError(f"elementwise ids {ids.shape} do not match hidden {grid.shape}")
-    positions = packed.rows.size
+        raise ShapeError(f"elementwise ids {ids.shape} do not match batch {packed.lead}")
     # the valid positions' ids only
     picked = T.row_ids(ids.reshape(b * width, k)[packed.rows], n_rows)  # [P, k]
-    rows = emb.data[picked]  # [P, k, d]
 
     def backward(g):
-        ghidden = (np.swapaxes(rows, 1, 2) @ g.reshape(positions, k, 1)).reshape(positions, d)
-        cols = np.multiply(hidden.data.T[:, :, None], g, order="C")  # [d, P, k]
-        return ghidden, T.scatter_features(picked, cols.reshape(d, -1), n_rows)
+        # the [P, k, d] rows are gathered again rather than held from forward,
+        # and freed before the [d, P, k] block is built
+        ghidden = np.swapaxes(table[picked], 1, 2) @ g.reshape(positions, k, 1)
+        cols = np.multiply(h.T[:, :, None], g, order="C")  # [d, P, k]
+        return ghidden.reshape(positions, d), T.scatter_features(picked, cols.reshape(d, -1), n_rows)
 
-    out = rows @ hidden.data.reshape(positions, d, 1)  # [P, k, 1]
+    out = table[picked] @ h.reshape(positions, d, 1)  # [P, k, 1]
     return T._wire(out.reshape(positions, k), (hidden, emb), backward)
 
 

@@ -325,6 +325,10 @@ def throughput_benchmark(
     repeats: int = 5,
 ) -> dict:
     """Time the uniform sampler at one granularity; serves b*T*count slots/batch."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    if granularity not in set(Granularity):
+        raise ConfigError(f"unknown granularity {granularity!r}")
     granularity = Granularity(granularity)
     counting = CountingGenerator(rng_stream(seed, "uniform"))
     start = time.perf_counter()

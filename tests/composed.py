@@ -9,6 +9,8 @@ composed graphs as references, so the ops live here, built on the engine's
 stay bit-identical to the forms the fused nodes replaced. `forward` is the
 encoder that ran every layer over the whole padded [b, W, d] block before
 `model.forward` packed the real items, kept with its ops moved here.
+`score_sessionwise_on_grid` is the [b, W, d] grid form that sessionwise
+negatives had before the node scored each session's packed rows.
 `make_batches` is the list-of-`Session` batcher that `data.make_batches`
 replaced, kept as its reference.
 """
@@ -241,22 +243,40 @@ def forward(
 
 def score_negatives(state, packed, ids) -> Tensor:
     """[P, k] scores of one negative part as the composed graph that
-    `model._score_negatives` fuses: `gather_rows` + `matmul` per granularity,
-    then `take_rows` for a sessionwise part."""
+    `model._score_negatives` fuses. A pooled part, [g, 1, k], gathers its
+    [g, k, d] rows once, so the table gradient is one scatter in id order as
+    the node's is; then, per run of packed rows that shares a pool (all P
+    rows for a batchwise pool, a session's valid rows for a sessionwise
+    one), it takes the run's rows and its pool's [k, d] block with
+    `take_rows`, multiplies them, and joins the runs with `concat`. An
+    elementwise part is `gather_rows` + a batched `matmul`."""
     emb = state.params["item_emb"]
-    b, width, d = packed.grid.shape
+    b, width = packed.lead
+    positions, d = packed.hidden.shape
     gb, gt, k = ids.shape
-    if gb == 1 and gt == 1:
-        rows = T.gather_rows(emb, ids[0, 0])  # [k, d]
-        return T.matmul(packed.hidden, transpose(rows, (1, 0)))
     if gt == 1:
-        rows = T.gather_rows(emb, ids[:, 0])  # [b, k, d]
-        out = T.matmul(packed.grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
-        return T.take_rows(out, packed.rows)
-    positions = packed.rows.size
+        bounds = np.searchsorted(packed.rows, np.arange(gb + 1) * (b * width // gb))
+        rows = T.gather_rows(emb, ids[:, 0])  # [g, k, d]
+        runs = []
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            pool = T.take_rows(rows, np.arange(i * k, (i + 1) * k))  # [k, d]
+            run = T.take_rows(packed.hidden, np.arange(lo, hi))  # [hi - lo, d]
+            runs.append(T.matmul(run, transpose(pool, (1, 0))))
+        return T.concat(runs, axis=0)
     rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]
     out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
     return T.reshape(out, (positions, k))
+
+
+def score_sessionwise_on_grid(state, grid, mask, ids) -> Tensor:
+    """[P, k] scores of a sessionwise part in the grid form the packed runs
+    replaced: every session's pool scored at all W slots of the [b, W, d]
+    `grid` (`matmul(grid, rows^T)`, a [b, W, k] block), then the valid
+    positions picked out with `take_rows`. BLAS sums these products over
+    other row counts, so it agrees with the node to rounding, not in bits."""
+    rows = T.gather_rows(state.params["item_emb"], ids[:, 0])  # [b, k, d]
+    out = T.matmul(grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
+    return T.take_rows(out, np.flatnonzero(mask))
 
 
 def make_batches(sessions, batch_size=128, max_len=50, pad_id=None, shuffle_rng=None, trim=False):

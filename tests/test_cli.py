@@ -336,6 +336,15 @@ class TestBench:
         assert by_gran["batchwise"]["draws_per_batch"] == 256
         assert by_gran["elementwise"]["draws_per_batch"] == 4 * 6 * 256
 
+    @pytest.mark.parametrize("flag,value,named", [("--repeats", "0", "repeats must be at least 1"),
+                                                  ("--granularity", "nope", "'nope'")],
+                             ids=["repeats", "granularity"])
+    def test_bad_input_is_a_config_error(self, tmp_path, capsys, flag, value, named):
+        code = main(["bench", "--negs", "8", "--batch-size", "2", "--seq-len", "3",
+                     "--n-items", "50", flag, value, "--output-dir", str(tmp_path / "bench")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestExportVerb:
     def test_round_trip_from_report(self, tmp_path, prepared):

@@ -1,12 +1,18 @@
-"""The negative-scoring node against the composed graph it replaces.
+"""The negative-scoring node against the composed graphs it replaces.
 
-`model.score` scores each part of a `NegativeSet` in one node per
-granularity. `composed.score_negatives` is the `gather_rows` + `matmul`
-(+ `take_rows`) graph it fuses. The node runs the same products, and its
-feature-major scatter adds each table row in id order as `np.add.at` does,
-so scores and every gradient must be bit-identical to the reference, at any
-BLAS thread count.
+`model.score` scores each part of a `NegativeSet` in one node over the
+packed rows. `composed.score_negatives` is the `gather_rows` + `matmul`
+graph it fuses: per run of rows that shares a pool for a batchwise or
+sessionwise part, joined with `concat`. The node runs the same products,
+and its feature-major scatter adds each table row in id order as
+`np.add.at` does, so scores and every gradient must be bit-identical to
+that reference, at any BLAS thread count. `composed.score_sessionwise_on_grid`
+is the grid form a sessionwise part had before (all W slots of each
+session scored, then the valid rows taken); BLAS sums its products over
+other row counts, so the node must match it to 1e-12.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,13 +58,17 @@ def scores_and_grads(scorer, state, grid_data, mask, ids, upstream):
     grid = T.Tensor(grid_data, requires_grad=True)
     emb = state.params["item_emb"]
     emb.zero_grad()
-    scores = scorer(state, M.pack(grid, mask), ids)
+    scores = scorer(state, grid, mask, ids)
     scores.backward(seed=upstream)
     return scores.data, grid.grad, np.ascontiguousarray(emb.grad)
 
 
-def node(state, packed, ids):
-    return M.score(state, packed, NegativeSet(ids))
+def node(state, grid, mask, ids):
+    return M.score(state, M.pack(grid, mask), NegativeSet(ids))
+
+
+def composed(state, grid, mask, ids):
+    return C.score_negatives(state, M.pack(grid, mask), ids)
 
 
 def bits(a):
@@ -73,7 +83,7 @@ def assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, ma
     upstream = rng.standard_normal((positions, k))
     upstream[rng.random(upstream.shape) < 0.1] = -0.0
     got = scores_and_grads(node, state, grid, mask, ids, upstream)
-    want = scores_and_grads(C.score_negatives, state, grid, mask, ids, upstream)
+    want = scores_and_grads(composed, state, grid, mask, ids, upstream)
     for name, a, e in zip(("scores", "hidden grad", "item_emb grad"), got, want):
         assert a.shape == e.shape, name
         np.testing.assert_array_equal(bits(a), bits(e), err_msg=name)
@@ -98,8 +108,10 @@ def test_bits_equal_composed_reference(granularity, kind, b, width, d, k, n_item
     assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, mask)
 
 
-@pytest.mark.parametrize("b,width,d,k", [(128, 20, 64, 544), (16, 50, 100, 700)],
-                         ids=["large-catalog", "wide"])
+TRAINING_SHAPES = {"large-catalog": (128, 20, 64, 544), "wide": (16, 50, 100, 700)}
+
+
+@pytest.mark.parametrize("b,width,d,k", TRAINING_SHAPES.values(), ids=TRAINING_SHAPES.keys())
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_bits_equal_composed_reference_at_a_training_shape(granularity, b, width, d, k):
     # Products large enough for BLAS to split them over threads. At the wide
@@ -109,6 +121,55 @@ def test_bits_equal_composed_reference_at_a_training_shape(granularity, b, width
     k = 64 if granularity == "elementwise" else k
     mask = rng.random((b, width)) < 0.6
     assert_matches_reference(rng, granularity, "pad", b, width, d, k, 9649, mask)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_sessionwise_runs_match_the_grid_form(data):
+    # ragged sessions, some of them empty, or a batch with no valid position
+    b, width, d, k = TRAINING_SHAPES[data.draw(st.sampled_from(sorted(TRAINING_SHAPES)))]
+    if data.draw(st.booleans(), label="no valid position"):
+        lengths = [0] * b
+    else:
+        lengths = data.draw(st.lists(st.integers(0, width), min_size=b, max_size=b))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    mask = np.arange(width) < np.array(lengths)[:, None]
+    state = model(rng, 9649, d)
+    ids = draw_ids(rng, (b, 1, k), 9649, "pad")
+    grid = rng.standard_normal((b, width, d))
+    upstream = rng.standard_normal((int(mask.sum()), k))
+    got = scores_and_grads(node, state, grid, mask, ids, upstream)
+    want = scores_and_grads(C.score_sessionwise_on_grid, state, grid, mask, ids, upstream)
+    for name, a, e in zip(("scores", "hidden grad", "item_emb grad"), got, want):
+        assert a.shape == e.shape, name
+        # relative to each value, or to the block's largest for a value that cancels
+        scale = np.abs(e).max(initial=0.0)
+        np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+def test_elementwise_rows_are_not_held_between_the_passes():
+    # backward gathers the [P, k, d] rows again and frees them before it
+    # builds its [d, P, k] block, so it never holds two such blocks either
+    rng = np.random.default_rng(8)
+    b, width, d, k, n_items = 8, 12, 32, 128, 500
+    state = model(rng, n_items, d)
+    ids = draw_ids(rng, (b, width, k), n_items, "pad")
+    grid = rng.standard_normal((b, width, d))
+    mask = rng.random((b, width)) < 0.8
+    upstream = rng.standard_normal((int(mask.sum()), k))
+    block = upstream.size * d * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scores = node(state, T.Tensor(grid, requires_grad=True), mask, ids)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        scores.backward(seed=upstream)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < block
+    assert peak < 1.5 * block
 
 
 @pytest.mark.parametrize("kind", ["distinct", "repeated"])
@@ -123,7 +184,7 @@ def test_gradcheck(granularity, kind):
     weight = T.Tensor(rng.standard_normal((int(mask.sum()), k)))
 
     def f():
-        return T.tsum(T.mul(node(state, M.pack(grid, mask), ids), weight))
+        return T.tsum(T.mul(node(state, grid, mask, ids), weight))
 
     assert T.gradcheck(f, [grid, state.params["item_emb"]]) < 1e-6
 
@@ -137,4 +198,4 @@ def test_id_outside_the_table_is_named(granularity, bad):
     ids.flat[-1] = bad
     grid = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     with pytest.raises(ItemIdError, match=rf"id {bad} out of range \[0, 8\)"):
-        node(state, M.pack(grid), ids)
+        node(state, grid, None, ids)
