@@ -14,14 +14,13 @@ add or dropout sees a padded slot. Causal attention is one graph node
 [b, heads, W, dh] grid and returns the mixed rows packed again.
 
 Training scores only the P valid positions of a batch (`pack`), so padding
-is never scored, filtered or back-propagated. Negatives are scored at their
-sampling granularity, one part of the `NegativeSet` at a time and one graph
-node per part over the packed [P, d] rows: a batchwise pool is one
-[P, d] x [d, n] product shared by the whole batch, and a sessionwise pool
-one product over its session's valid rows, so no pool is expanded per
-session or scored at a padded slot. The node's backward hands `item_emb`
-its gradient directly, scattered from a feature-major row gradient that
-BLAS writes in that layout.
+is never scored, filtered or back-propagated. A `NegativeSet` is one graph
+node over the packed [P, d] rows, each part scored at its sampling
+granularity into its own columns: a batchwise pool is one [P, d] x [d, n]
+product shared by the whole batch, and a sessionwise pool one product over
+its session's valid rows, so no pool is expanded per session or scored at
+a padded slot. The node's backward hands `item_emb` its gradient directly,
+scattered from a feature-major row gradient that BLAS writes in that layout.
 """
 
 from __future__ import annotations
@@ -52,8 +51,9 @@ class ModelConfig:
     prenorm: bool = False
 
     def __post_init__(self):
-        if self.n_items < 1:
-            raise ConfigError("n_items must be positive")
+        for name in ("n_items", "hidden_dim", "num_heads", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -284,16 +284,15 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
     Over a [b, W, d] hidden tensor, a [b, W] id array (targets) yields [b, W]
     scores, and a NegativeSet or 3-d id array yields [b, W, K]. Over a
     `Packed` batch the same ids yield [P] and [P, K] scores at its valid
-    positions only. Negatives are scored part by part, each at its own
-    granularity, and the scores are joined along the sample axis.
+    positions only. All negatives are one node, each part scored at its own
+    granularity into its columns of the sample axis.
     """
     packed = hidden if isinstance(hidden, Packed) else pack(hidden)
     lead = packed.lead
     if isinstance(item_ids, NegativeSet) or np.ndim(item_ids) != 2:
         if not isinstance(item_ids, NegativeSet):
             item_ids = NegativeSet(np.asarray(item_ids))
-        scores = [_score_negatives(state, packed, ids) for ids in item_ids.parts]
-        out = scores[0] if len(scores) == 1 else T.concat(scores)
+        out = _score_negatives(state, packed, item_ids)
     else:
         ids = np.asarray(item_ids)
         if ids.shape != lead:
@@ -305,22 +304,38 @@ def score(state: ModelState, hidden, item_ids) -> Tensor:
     return T.reshape(out, lead + out.shape[1:])
 
 
-def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tensor:
-    """[P, k] scores of one part's 3-d ids, as one node over the packed rows.
+def _score_negatives(state: ModelState, packed: Packed, negatives: NegativeSet) -> Tensor:
+    """[P, K] scores of a whole negative set, as one node over the packed rows.
 
-    The node's parents are the packed [P, d] rows and `item_emb`. A pooled
-    [g, 1, k] part is one product per run of rows that shares a pool: all P
-    rows (g = 1), or each session's contiguous valid rows (g = b). Backward
-    has BLAS write the gathered rows' gradient feature-major, a [d, k] slot
-    per run, and scatters it into the table one feature at a time
-    (`T.scatter_features`). Each product is the one the composed graph runs,
-    with its operands in the same order, so scores and gradients are
-    bit-identical to that graph's.
+    Each part writes its products into its own column block of the output,
+    and backward hands each part that block of the incoming gradient. A
+    pooled [g, 1, k] part is one product per run of rows that shares a pool:
+    all P rows (g = 1), or each session's contiguous valid rows (g = b);
+    backward has BLAS write each run's row gradient feature-major, a [d, k]
+    slot, for `T.scatter_features`. The products are the composed graph's,
+    operands in its order, and the parents (the packed rows, `item_emb`)
+    repeat once per part in part order, so the engine sums gradients in that
+    graph's order: scores and gradients are bit-identical to it.
     """
     emb, hidden = state.params["item_emb"], packed.hidden
-    table, h = emb.data, hidden.data
-    n_rows = table.shape[0]
-    (b, width), (positions, d) = packed.lead, hidden.shape
+    out = np.empty((hidden.shape[0], negatives.count))
+    blocks, start = [], 0
+    for ids in negatives.parts:
+        cols = slice(start, start + ids.shape[-1])
+        blocks.append((cols, _score_part(emb.data, packed, ids, out[:, cols])))
+        start = cols.stop
+
+    def backward(g):
+        return [grad for cols, part_backward in blocks for grad in part_backward(g[:, cols])]
+
+    return T._wire(out, (hidden, emb) * len(blocks), backward)
+
+
+def _score_part(table: np.ndarray, packed: Packed, ids: np.ndarray, out: np.ndarray):
+    """Write one part's [P, k] scores into `out` and return the part's
+    backward, from that block's gradient to (hidden, `item_emb`) grads."""
+    h, n_rows = packed.hidden.data, table.shape[0]
+    (b, width), (positions, d) = packed.lead, h.shape
     gb, gt, k = ids.shape
     if gt == 1:
         if gb not in (1, b):
@@ -330,7 +345,6 @@ def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tens
         bounds = np.searchsorted(packed.rows, np.arange(gb + 1) * (b * width // gb))
         pool = T.row_ids(ids[:, 0], n_rows)  # [g, k]
         runs = list(zip(pool, bounds[:-1], bounds[1:]))
-        out = np.empty((positions, k))
         for run_ids, lo, hi in runs:
             np.matmul(h[lo:hi], table[run_ids].T, out=out[lo:hi])
 
@@ -342,7 +356,7 @@ def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tens
                 np.matmul(h[lo:hi].T, g[lo:hi], out=cols[:, i])
             return ghidden, T.scatter_features(pool, cols.reshape(d, -1), n_rows)
 
-        return T._wire(out, (hidden, emb), backward)
+        return backward
     if (gb, gt) != (b, width):
         raise ShapeError(f"elementwise ids {ids.shape} do not match batch {packed.lead}")
     # the valid positions' ids only
@@ -355,8 +369,8 @@ def _score_negatives(state: ModelState, packed: Packed, ids: np.ndarray) -> Tens
         cols = np.multiply(h.T[:, :, None], g, order="C")  # [d, P, k]
         return ghidden.reshape(positions, d), T.scatter_features(picked, cols.reshape(d, -1), n_rows)
 
-    out = table[picked] @ h.reshape(positions, d, 1)  # [P, k, 1]
-    return T._wire(out.reshape(positions, k), (hidden, emb), backward)
+    out[:] = (table[picked] @ h.reshape(positions, d, 1)).reshape(positions, k)
+    return backward
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +408,8 @@ def checkpoint_record(path, extra: dict[str, np.ndarray], key: str) -> dict:
 
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     """The state and extra arrays of a `save_checkpoint` file. CacheError names
-    the key of a missing header or parameter, or of a parameter whose shape is
-    not the one `ModelState.initialize` lays out for the header's config."""
+    the key of a missing header or parameter, a config that ModelConfig
+    refuses, or a parameter not of the shape that config lays out."""
     extra = load_arrays(path)
     if "__header__" not in extra:
         raise CacheError(f"checkpoint {path} holds no '__header__'")
@@ -408,7 +422,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
         raise ConfigError(f"unsupported checkpoint format {header['format']}")
     try:
         config = ModelConfig(**header["config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise CacheError(f"checkpoint {path} header 'config' does not fit ModelConfig "
                          f"({exc})") from None
     state = ModelState.initialize(config)

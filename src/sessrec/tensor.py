@@ -3,10 +3,10 @@
 Deliberately small: only the operations the library runs are provided
 (matrix multiply, addition and multiplication with NumPy broadcasting, ReLU,
 sum, reshape, layer norm, embedding gather, row picks and their zero-filled
-scatter, top-k picks, concatenation). The finer ops that only the tests
-compose into reference graphs live in `tests/composed.py`. The reference
-numeric type is float64 so that finite-difference gradient checks are
-meaningful.
+scatter, top-k picks). The finer ops that only the tests compose into
+reference graphs, concatenation among them, live in `tests/composed.py`.
+The reference numeric type is float64 so that finite-difference gradient
+checks are meaningful.
 
 `layer_norm` is one node with an analytic backward; its forward repeats the
 composed graph's arithmetic, so its outputs are bit-identical to it. A
@@ -395,18 +395,6 @@ def take_along_last(a, indices) -> Tensor:
         return (ga,)
 
     return _wire(out, (a,), backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors along `axis`; backward splits the gradient back apart."""
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        return np.split(g, bounds, axis=axis)
-
-    return _wire(out, tensors, backward)
 
 
 # ---------------------------------------------------------------------------

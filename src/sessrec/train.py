@@ -91,10 +91,9 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore `state_arrays`; CacheError names a missing array or a moment
-        whose shape is not its parameter's, before any state changes."""
-        if "opt.step" not in arrays:
-            raise CacheError("optimizer state has no 'opt.step'")
+        """Restore `state_arrays`; CacheError names a missing array, a bad step
+        or a moment not of its parameter's shape, before any state changes."""
+        step = _stored_count(arrays, "opt.step", "optimizer state")
         for name, p in self.params.items():
             for key in (f"opt.m.{name}", f"opt.v.{name}"):
                 if key not in arrays:
@@ -102,7 +101,7 @@ class Adam:
                 if arrays[key].shape != p.shape:
                     raise CacheError(f"optimizer state {key!r} has shape {arrays[key].shape}, "
                                      f"but its parameter has {p.shape}")
-        self.step_count = int(arrays["opt.step"][0])
+        self.step_count = step
         for name in self.params:
             self.m[name] = arrays[f"opt.m.{name}"].copy()
             self.v[name] = arrays[f"opt.v.{name}"].copy()
@@ -216,10 +215,8 @@ def train_step(
         neg_scores = topk_filter(neg_scores, k).scores
 
     loss_name = config["loss"]
-    if loss_name == "bpr-max":
-        loss = get_loss(loss_name)(pos_scores, neg_scores, config["loss.bpr_max.lambda"])
-    else:
-        loss = get_loss(loss_name)(pos_scores, neg_scores)
+    loss_args = (config["loss.bpr_max.lambda"],) if loss_name == "bpr-max" else ()
+    loss = get_loss(loss_name)(pos_scores, neg_scores, *loss_args)
     value = loss.item()
     if not np.isfinite(value):
         raise DivergenceError(
@@ -264,15 +261,15 @@ def check_checkpoint(path, extra: dict[str, np.ndarray], **records: dict) -> Non
                 )
 
 
-def _resume_epoch(path, extra: dict[str, np.ndarray]) -> int:
-    """The epoch count stored as `trainer.epoch`; CacheError names a missing
-    key or a value that is not a one-element integer array."""
-    stored = extra.get("trainer.epoch")
-    if stored is None:
-        raise CacheError(f"checkpoint {path} holds no 'trainer.epoch'")
-    if stored.shape != (1,) or stored.dtype.kind not in "iu":
-        raise CacheError(f"checkpoint {path} 'trainer.epoch' is a {stored.dtype} array of shape "
-                         f"{stored.shape}, not one integer")
+def _stored_count(arrays: dict[str, np.ndarray], key: str, where: str) -> int:
+    """The count stored under `key` as a one-element integer array; CacheError
+    names a missing key, or a value that is not one integer or is negative."""
+    if key not in arrays:
+        raise CacheError(f"{where} holds no {key!r}")
+    stored = arrays[key]
+    if stored.shape != (1,) or stored.dtype.kind not in "iu" or stored[0] < 0:
+        raise CacheError(f"{where} {key!r} is a {stored.dtype} array of shape {stored.shape}, "
+                         "not one integer >= 0")
     return int(stored[0])
 
 
@@ -293,7 +290,7 @@ def train(
     if resume_from is not None:
         state, extra = M.load_checkpoint(resume_from)
         check_checkpoint(resume_from, extra, config=config, manifest=manifest)
-        start_epoch = _resume_epoch(resume_from, extra)
+        start_epoch = _stored_count(extra, "trainer.epoch", f"checkpoint {resume_from}")
     else:
         state = ModelState.initialize(model_config_from(config, n_items), seed=seed)
     optimizer = Adam(

@@ -9,6 +9,8 @@ composed graphs as references, so the ops live here, built on the engine's
 stay bit-identical to the forms the fused nodes replaced. `forward` is the
 encoder that ran every layer over the whole padded [b, W, d] block before
 `model.forward` packed the real items, kept with its ops moved here.
+`score_negatives` scores one part of a negative set, and `concat` joins
+the parts as the library did before one node scored the whole set.
 `score_sessionwise_on_grid` is the [b, W, d] grid form that sessionwise
 negatives had before the node scored each session's packed rows.
 `make_batches` is the list-of-`Session` batcher that `data.make_batches`
@@ -120,6 +122,18 @@ def transpose(a, axes) -> Tensor:
         return (g.transpose(inverse),)
 
     return T._wire(out, (a,), backward)
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Join tensors along `axis`; backward splits the gradient back apart."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        return np.split(g, bounds, axis=axis)
+
+    return T._wire(out, tensors, backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -243,9 +257,9 @@ def forward(
 
 def score_negatives(state, packed, ids) -> Tensor:
     """[P, k] scores of one negative part as the composed graph that
-    `model._score_negatives` fuses. A pooled part, [g, 1, k], gathers its
-    [g, k, d] rows once, so the table gradient is one scatter in id order as
-    the node's is; then, per run of packed rows that shares a pool (all P
+    `model._score_negatives` fuses for it. A pooled part, [g, 1, k], gathers
+    its [g, k, d] rows once, so the table gradient is one scatter in id order
+    as the node's is; then, per run of packed rows that shares a pool (all P
     rows for a batchwise pool, a session's valid rows for a sessionwise
     one), it takes the run's rows and its pool's [k, d] block with
     `take_rows`, multiplies them, and joins the runs with `concat`. An
@@ -262,7 +276,7 @@ def score_negatives(state, packed, ids) -> Tensor:
             pool = T.take_rows(rows, np.arange(i * k, (i + 1) * k))  # [k, d]
             run = T.take_rows(packed.hidden, np.arange(lo, hi))  # [hi - lo, d]
             runs.append(T.matmul(run, transpose(pool, (1, 0))))
-        return T.concat(runs, axis=0)
+        return concat(runs, axis=0)
     rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]
     out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
     return T.reshape(out, (positions, k))

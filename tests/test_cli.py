@@ -226,6 +226,27 @@ class TestEvalVerb:
         assert f"catalog of {n_items}" in err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
+    def test_refuses_a_checkpoint_header_config_model_config_refuses(self, tmp_path, prepared,
+                                                                     capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        checkpoint = run / "ckpt" / "epoch-1.bin"
+        with np.load(checkpoint) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+        header["config"]["num_heads"] = 0  # hidden_dim % 0 divided by zero before
+        arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        with open(checkpoint, "wb") as fh:  # a path would get ".npz" appended
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = main(["eval", "--input", str(prepared), "--checkpoint", str(checkpoint),
+                     "--output-dir", str(tmp_path / "eval-out")])
+        assert code == 2
+        assert (f"checkpoint {checkpoint} header 'config' does not fit ModelConfig "
+                "(num_heads must be positive)") in capsys.readouterr().err
+        assert not (tmp_path / "eval-out" / "eval.json").exists()
+
     def test_refuses_checkpoint_of_another_dataset_manifest(self, tmp_path, prepared, capsys):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),

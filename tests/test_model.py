@@ -12,7 +12,7 @@ from sessrec import model as M
 from sessrec import sampler as S
 from sessrec import tensor as T
 from sessrec.data import Session, make_batches
-from sessrec.errors import CacheError, ItemIdError
+from sessrec.errors import CacheError, ConfigError, ItemIdError
 from sessrec.sampler import Granularity, NegativeSet, rng_stream
 
 
@@ -262,6 +262,14 @@ class TestScoreByParts:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("key", ["hidden_dim", "num_heads", "num_layers"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_below_one_is_refused(key, value):
+    # checked before hidden_dim % num_heads, which num_heads 0 would divide by
+    with pytest.raises(ConfigError, match=f"{key} must be positive"):
+        M.ModelConfig(n_items=5, **{key: value})
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         state = toy_state(n_items=9, d=8, layers=2, seed=7)
@@ -340,6 +348,15 @@ class TestCheckpoint:
             arrays, lambda header: header["config"].update(width=8)))
         with pytest.raises(CacheError, match=f"checkpoint {path} header 'config' does not fit "
                                              "ModelConfig .*'width'"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("num_heads", 0), ("hidden_dim", 0),
+                                           ("num_layers", -1), ("n_items", 0)])
+    def test_header_config_that_model_config_refuses_is_named(self, tmp_path, key, value):
+        path = self._rewritten(tmp_path, lambda arrays: self._header(
+            arrays, lambda header: header["config"].update({key: value})))
+        with pytest.raises(CacheError, match=f"checkpoint {path} header 'config' does not fit "
+                                             f"ModelConfig \\({key} must be positive\\)"):
             M.load_checkpoint(path)
 
     def test_header_not_utf8_json_is_named(self, tmp_path):

@@ -1,17 +1,21 @@
 """The negative-scoring node against the composed graphs it replaces.
 
-`model.score` scores each part of a `NegativeSet` in one node over the
-packed rows. `composed.score_negatives` is the `gather_rows` + `matmul`
-graph it fuses: per run of rows that shares a pool for a batchwise or
-sessionwise part, joined with `concat`. The node runs the same products,
-and its feature-major scatter adds each table row in id order as
-`np.add.at` does, so scores and every gradient must be bit-identical to
-that reference, at any BLAS thread count. `composed.score_sessionwise_on_grid`
-is the grid form a sessionwise part had before (all W slots of each
-session scored, then the valid rows taken); BLAS sums its products over
-other row counts, so the node must match it to 1e-12.
+`model.score` scores a whole `NegativeSet` in one node over the packed
+rows, each part into its own columns. `composed.score_negatives` is the
+`gather_rows` + `matmul` graph it fuses for one part: per run of rows that
+shares a pool for a batchwise or sessionwise part, joined with `concat`;
+the parts of a mixed set are joined with `concat` too. The node runs the
+same products, its feature-major scatter adds each table row in id order
+as `np.add.at` does, and it adds the parts' gradients in the reference's
+order, so scores and every gradient must be bit-identical to that
+reference, at every granularity mix and any BLAS thread count.
+`composed.score_sessionwise_on_grid` is the grid form a sessionwise part
+had before (all W slots of each session scored, then the valid rows
+taken); BLAS sums its products over other row counts, so the node must
+match it to 1e-12.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -64,11 +68,15 @@ def scores_and_grads(scorer, state, grid_data, mask, ids, upstream):
 
 
 def node(state, grid, mask, ids):
-    return M.score(state, M.pack(grid, mask), NegativeSet(ids))
+    """One part's ids or a whole `NegativeSet`, scored by `model.score`."""
+    return M.score(state, M.pack(grid, mask), ids)
 
 
 def composed(state, grid, mask, ids):
-    return C.score_negatives(state, M.pack(grid, mask), ids)
+    """The reference: each part scored on its own, the parts joined by `concat`."""
+    packed = M.pack(grid, mask)
+    parts = ids.parts if isinstance(ids, NegativeSet) else (ids,)
+    return C.concat([C.score_negatives(state, packed, part) for part in parts])
 
 
 def bits(a):
@@ -76,11 +84,16 @@ def bits(a):
 
 
 def assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, mask):
+    """One part of `granularity` and k ids, or, given sequences of both, a
+    `NegativeSet` of one part per granularity, drawn in that order."""
+    if isinstance(granularity, str):
+        granularity, k = (granularity,), (k,)
     state = model(rng, n_items, d)
-    ids = draw_ids(rng, part_shape(granularity, b, width, k), n_items, kind)
+    ids = NegativeSet(*(draw_ids(rng, part_shape(g, b, width, n), n_items, kind)
+                        for g, n in zip(granularity, k)))
     grid = rng.standard_normal((b, width, d))
     positions = b * width if mask is None else int(mask.sum())
-    upstream = rng.standard_normal((positions, k))
+    upstream = rng.standard_normal((positions, ids.count))
     upstream[rng.random(upstream.shape) < 0.1] = -0.0
     got = scores_and_grads(node, state, grid, mask, ids, upstream)
     want = scores_and_grads(composed, state, grid, mask, ids, upstream)
@@ -106,6 +119,42 @@ def test_bits_equal_composed_reference(granularity, kind, b, width, d, k, n_item
     mask = {"none": None, "random": rng.random((b, width)) < 0.6,
             "empty": np.zeros((b, width), dtype=bool)}[masked]
     assert_matches_reference(rng, granularity, kind, b, width, d, k, n_items, mask)
+
+
+# sets of one part are test_bits_equal_composed_reference's
+MIXES = [mix for n in (2, 3) for mix in itertools.product(GRANULARITIES, repeat=n)]
+
+
+@pytest.mark.parametrize("mix", MIXES, ids="+".join)
+@settings(max_examples=10, deadline=None)
+@given(
+    kind=st.sampled_from(["distinct", "repeated", "pad"]),
+    b=st.integers(1, 4),
+    width=st.integers(1, 5),
+    d=st.sampled_from([1, 3, 16, 17]),
+    ks=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    n_items=st.integers(1, 40),
+    masked=st.sampled_from(["none", "full", "random", "empty"]),
+    seed=st.integers(0, 2**16),
+)
+def test_mixed_set_bits_equal_composed_reference(mix, kind, b, width, d, ks, n_items, masked,
+                                                 seed):
+    # one node for the whole set against one reference graph per part joined
+    # by concat; adjacent parts of one granularity merge into one part
+    rng = np.random.default_rng(seed)
+    mask = {"none": None, "full": np.ones((b, width), dtype=bool),
+            "random": rng.random((b, width)) < 0.6,
+            "empty": np.zeros((b, width), dtype=bool)}[masked]
+    assert_matches_reference(rng, mix, kind, b, width, d, ks[:len(mix)], n_items, mask)
+
+
+@pytest.mark.parametrize("mix", [("sessionwise", "batchwise"), ("batchwise", "sessionwise")])
+def test_mixed_set_bits_equal_composed_reference_at_the_tron_batchwise_shape(mix):
+    # in-batch 127 sessionwise plus a batchwise pool of 2048 at b 128, d 64
+    rng = np.random.default_rng(21)
+    k = {"sessionwise": 127, "batchwise": 2048}
+    mask = np.arange(20) < rng.integers(1, 21, size=(128, 1))
+    assert_matches_reference(rng, mix, "pad", 128, 20, 64, [k[g] for g in mix], 3000, mask)
 
 
 TRAINING_SHAPES = {"large-catalog": (128, 20, 64, 544), "wide": (16, 50, 100, 700)}

@@ -38,7 +38,8 @@ from sessrec.sampler import (
 
 def reference_score(state, hidden, item_ids):
     if isinstance(item_ids, NegativeSet):
-        return T.concat([reference_score_negatives(state, hidden, p) for p in item_ids.parts])
+        parts = item_ids.parts
+        return composed.concat([reference_score_negatives(state, hidden, p) for p in parts])
     ids = np.asarray(item_ids)
     if ids.ndim == 2:
         rows = T.gather_rows(state.params["item_emb"], ids)

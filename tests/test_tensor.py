@@ -165,17 +165,17 @@ class TestConcat:
     def test_values_and_uneven_split_gradient(self):
         rng = np.random.default_rng(5)
         parts = [rand(rng, 2, 3, 1), rand(rng, 2, 3, 4), rand(rng, 2, 3, 2)]
-        out = T.concat(parts)
+        out = C.concat(parts)
         np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=-1))
         weights = rng.standard_normal(out.shape)
-        err = T.gradcheck(lambda: T.tsum(T.mul(C.power(T.concat(parts), 2.0), weights)), parts)
+        err = T.gradcheck(lambda: T.tsum(T.mul(C.power(C.concat(parts), 2.0), weights)), parts)
         assert err < 1e-6
 
     def test_leading_axis_and_constant_part(self):
         rng = np.random.default_rng(6)
         a, b = rand(rng, 1, 2), rand(rng, 3, 2)
         const = T.Tensor(rng.standard_normal((2, 2)))
-        T.tsum(T.mul(T.concat([a, const, b], axis=0), np.arange(12.0).reshape(6, 2))).backward()
+        T.tsum(T.mul(C.concat([a, const, b], axis=0), np.arange(12.0).reshape(6, 2))).backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 1.0]])
         np.testing.assert_array_equal(b.grad, np.arange(6.0, 12.0).reshape(3, 2))
         assert const.grad is None

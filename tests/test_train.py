@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sessrec import config as C
 from sessrec import model as M
+from sessrec import tensor as T
 from sessrec import train as TR
 from sessrec.data import Catalog, PreparedDataset, Session, Sessions, make_batches
 from sessrec.errors import CacheError, ConfigError, DivergenceError, PoolExhaustedError
@@ -317,7 +318,7 @@ class TestCheckpointing:
         with pytest.raises(CacheError, match=re.escape(message)):
             TR.train(toy_config(), ds, resume_from=path)
 
-    @pytest.mark.parametrize("fault", ["missing", "float", "two-values", "empty"])
+    @pytest.mark.parametrize("fault", ["missing", "float", "two-values", "empty", "negative"])
     def test_resume_refuses_a_bad_epoch_count(self, tmp_path, fault):
         ds = toy_dataset()
         TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path / "first")
@@ -328,13 +329,29 @@ class TestCheckpointing:
             message = f"checkpoint {path} holds no 'trainer.epoch'"
         else:
             extra["trainer.epoch"] = {"float": np.array([1.0]), "two-values": np.array([1, 1]),
-                                      "empty": np.zeros(0, dtype=np.int64)}[fault]
+                                      "empty": np.zeros(0, dtype=np.int64),
+                                      "negative": np.array([-1])}[fault]
             message = (f"checkpoint {path} 'trainer.epoch' is a {extra['trainer.epoch'].dtype} "
                        f"array of shape {extra['trainer.epoch'].shape}, not one integer")
         M.save_checkpoint(state, path, extra)
         with pytest.raises(CacheError, match=re.escape(message)):
             TR.train(toy_config(), ds, out_dir=tmp_path / "resumed", resume_from=path)
         assert not (tmp_path / "resumed").exists()  # refused before the run wrote anything
+
+    @pytest.mark.parametrize("step", [np.zeros(0, dtype=np.int64), np.array([-3]),
+                                      np.array([1.5]), np.array([1, 2])],
+                             ids=["empty", "negative", "float", "two-values"])
+    def test_optimizer_refuses_a_step_that_is_not_one_count(self, step):
+        params = {"a": Tensor(np.ones(3), requires_grad=True)}
+        opt = TR.Adam(params)
+        before = opt.state_arrays()
+        arrays = {**{key: value + 1 for key, value in before.items()}, "opt.step": step}
+        message = (f"optimizer state 'opt.step' is a {step.dtype} array of shape {step.shape}, "
+                   "not one integer >= 0")
+        with pytest.raises(CacheError, match=re.escape(message)):
+            opt.load_state_arrays(arrays)
+        for key, value in opt.state_arrays().items():
+            np.testing.assert_array_equal(value, before[key], err_msg=key)
 
     def test_optimizer_state_unchanged_by_a_refused_load(self):
         params = {"a": Tensor(np.ones(3), requires_grad=True),
@@ -390,3 +407,60 @@ def test_a_batch_without_negatives_names_the_session():
     with pytest.raises(PoolExhaustedError, match=f"epoch 1, batch 1 .*session {alone!r}") as err:
         TR.train(config, ds)
     assert err.value.session_id == alone
+
+
+class TestStepGraph:
+    """The graph of one training step at a benchmark workload's keys (b 128,
+    W 20, d 64, two layers): the whole negative set is one scoring node."""
+
+    WORKLOADS = {
+        "tron-batchwise": {"loss": "ssm", "negs.uniform.count": 2048,
+                           "negs.uniform.granularity": "batchwise",
+                           "negs.inbatch.count": 127, "negs.topk": 100},
+        "large-catalog": {"loss": "bpr-max", "negs.uniform.count": 512,
+                          "negs.uniform.granularity": "sessionwise", "negs.inbatch.count": 32},
+    }
+
+    @classmethod
+    def step_graph(cls, monkeypatch, workload):
+        """The step's nodes that have a backward, in `T._toposort` order, and
+        its state."""
+        ds = toy_dataset(n_items=3000, n_sessions=132, length=(3, 13))
+        config = C.resolve({"model.hidden_dim": 64, "data.max_len": 20,
+                            "train.batch_size": 128, **cls.WORKLOADS[workload]})
+        state = M.ModelState.initialize(TR.model_config_from(config, 3000))
+        batch = next(make_batches(ds.train, batch_size=128, max_len=20, pad_id=3000))
+        losses, get_loss = [], TR.get_loss
+
+        def kept(name):
+            def loss(*args):
+                losses.append(get_loss(name)(*args))
+                return losses[-1]
+            return loss
+
+        monkeypatch.setattr(TR, "get_loss", kept)
+        TR.train_step(state, batch, config, TR.Adam(state.params), seed=1, epoch=0, index=0,
+                      draw_totals={"frequency": 0, "inbatch": 0, "uniform": 0})
+        nodes = [n for n in T._toposort(losses[0]) if n._backward is not None]
+        return nodes, state
+
+    @staticmethod
+    def made_by(node):
+        return node._backward.__qualname__.split(".")[0]
+
+    def test_tron_batchwise_scores_both_parts_in_one_node(self, monkeypatch):
+        nodes, state = self.step_graph(monkeypatch, "tron-batchwise")
+        assert len(nodes) == 55  # one per part plus a concat made 57
+        (topk,) = [n for n in nodes if self.made_by(n) == "take_along_last"]
+        (scoring,) = topk._parents
+        assert self.made_by(scoring) == "_score_negatives"
+        assert scoring.shape[1] == 127 + 2048
+        hidden = scoring._parents[0]
+        assert self.made_by(hidden) == "take_rows"  # the packed valid rows
+        assert scoring._parents == (hidden, state.params["item_emb"]) * 2
+
+    def test_large_catalog_merges_its_sessionwise_sources_into_one_part(self, monkeypatch):
+        nodes, state = self.step_graph(monkeypatch, "large-catalog")
+        assert len(nodes) == 54
+        (scoring,) = [n for n in nodes if self.made_by(n) == "_score_negatives"]
+        assert scoring._parents == (scoring._parents[0], state.params["item_emb"])
