@@ -7,14 +7,17 @@ from sessrec import tensor as T
 # Tensors wrap float64 arrays; requires_grad marks trainable leaves.
 rng = np.random.default_rng(0)
 w = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-x = T.Tensor(rng.standard_normal((3, 2)))
+b = T.Tensor(np.zeros(3), requires_grad=True)
+x = T.Tensor(rng.standard_normal((2, 3)))
 
 # Ops build a graph; backward() walks it once in reverse topological order.
-y = T.matmul(w, x)
+# An affine map x @ w + b of [n, d] rows is one node, as in the encoder.
+y = T.linear(x, w, b)
 loss = T.tsum(T.mul(y, y))
 loss.backward()
 print("loss:", loss.item())
 print("dloss/dw:\n", w.grad)
+print("dloss/db:", b.grad)
 
 # A value consumed twice receives the sum of both path contributions.
 a = T.Tensor([2.0], requires_grad=True)
@@ -27,8 +30,7 @@ h = T.layer_norm(T.Tensor([[1000.0, 0.0, -1000.0]]), T.Tensor(np.ones(3)), T.Ten
 print("layer_norm([1000,0,-1000]) =", h.data, "mean =", h.data.mean())
 
 # Every differentiable op is validated against central finite differences.
-w.zero_grad()
-err = T.gradcheck(lambda: T.tsum(T.relu(T.matmul(w, x))), [w])
+err = T.gradcheck(lambda: T.tsum(T.relu(T.linear(x, w, b))), [w, b])
 print(f"finite-difference relative error: {err:.2e}")
 
 # Embedding-style gathers scatter-add their gradients back into the table.

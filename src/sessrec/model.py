@@ -51,8 +51,11 @@ class ModelConfig:
     prenorm: bool = False
 
     def __post_init__(self):
-        for name in ("n_items", "hidden_dim", "num_heads", "num_layers"):
-            if getattr(self, name) < 1:
+        for name in ("n_items", "hidden_dim", "num_heads", "num_layers", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
@@ -163,7 +166,7 @@ def forward(
         return T.mul(x, (drawn >= cfg.dropout) / (1.0 - cfg.dropout))
 
     def linear(h: Tensor, prefix: str, name: str) -> Tensor:
-        return T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
+        return T.linear(h, p[f"{prefix}.w{name}"], p[f"{prefix}.b{name}"])
 
     x = T.mul(T.gather_rows(p["item_emb"], ids.reshape(-1)[real]), np.sqrt(d))
     x = T.add(x, T.gather_rows(p["pos_emb"], real % width))

@@ -1,21 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Deliberately small: only the operations the library runs are provided
-(matrix multiply, addition and multiplication with NumPy broadcasting, ReLU,
-sum, reshape, layer norm, embedding gather, row picks and their zero-filled
-scatter, top-k picks). The finer ops that only the tests compose into
-reference graphs, concatenation among them, live in `tests/composed.py`.
-The reference numeric type is float64 so that finite-difference gradient
-checks are meaningful.
+(the affine map of rows, addition and multiplication with NumPy
+broadcasting, ReLU, sum, reshape, layer norm, embedding gather, row picks
+and their zero-filled scatter, top-k picks). The finer ops that only the
+tests compose into reference graphs, the broadcasting matrix product and
+concatenation among them, live in `tests/composed.py`. The reference
+numeric type is float64 so that finite-difference gradient checks are
+meaningful.
 
-`layer_norm` is one node with an analytic backward; its forward repeats the
-composed graph's arithmetic, so its outputs are bit-identical to it. A
-matmul whose right operand is a 2-d weight shared across a batched left
-operand gets the weight's gradient from one product over all rows. The
-ranking losses, causal attention and the negative-scoring node are fused
-nodes too, built in `loss.py` and `model.py` on `_wire`. Table gradients
-are scattered from a feature-major `[d, N]` row gradient, one `np.bincount`
-per feature (`scatter_features`), bit-identical to `np.add.at`.
+`linear` (`x @ w + b`) and `layer_norm` are one node each; their forwards
+repeat the composed graphs' arithmetic, so their outputs are bit-identical
+to them. The ranking losses, causal attention and the negative-scoring node
+are fused nodes too, built in `loss.py` and `model.py` on `_wire`. Table
+gradients are scattered from a feature-major `[d, N]` row gradient, one
+`np.bincount` per feature (`scatter_features`), bit-identical to
+`np.add.at`.
 """
 
 from __future__ import annotations
@@ -186,32 +186,26 @@ def mul(a, b) -> Tensor:
     return _wire(out, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with NumPy batch-dim broadcasting.
-
-    Gradients: da = g @ b^T, db = a^T @ g (batch dims summed back down). A
-    2-d `b` gets its gradient from `a` and `g` flattened to rows.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-d+ operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
+def linear(x, w, b) -> Tensor:
+    """The affine map `x @ w + b` of [n, d] rows, a [d, m] weight and an [m]
+    bias, as one node. It runs the products of a 2-d matmul node and a bias
+    add node (dx = g @ w^T, dw = x^T @ g, db = g summed over rows), so its
+    output and gradients are bit-identical to theirs."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs [n, d], [d, m] and [m] operands, "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    out = x.data @ w.data
+    out += b.data
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        if not b.requires_grad:
-            gb = None
-        elif b.ndim == 2:
-            # a weight shared by every row of a batched operand: one
-            # [n, rows] x [rows, m] product instead of one per batch and a sum
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
 
-    return _wire(out, (a, b), backward)
+    return _wire(out, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 and the per-row batch fill that the packed and columnar ones replaced.
 
 The library runs fused nodes (`loss.bce`, `loss.bpr_max`, `loss.ssm`,
-`tensor.layer_norm`, `model.causal_attention`, the negative-scoring node of
-`model.score`) in place of graphs built from these ops. The tests keep the
-composed graphs as references, so the ops live here, built on the engine's
-`_wire` with the arithmetic they had in `sessrec.tensor`: the references
-stay bit-identical to the forms the fused nodes replaced. `forward` is the
-encoder that ran every layer over the whole padded [b, W, d] block before
+`tensor.linear`, `tensor.layer_norm`, `model.causal_attention`, the
+negative-scoring node of `model.score`) in place of graphs built from these
+ops. The tests keep the composed graphs as references, so the ops live
+here, built on the engine's `_wire` with the arithmetic they had in
+`sessrec.tensor`: the references stay bit-identical to the forms the fused
+nodes replaced. `matmul` is the broadcasting matrix product that each
+affine map (with a bias `add`) and the attention products were built from
+before `tensor.linear` took the affine maps. `forward` is the encoder that
+ran every layer over the whole padded [b, W, d] block before
 `model.forward` packed the real items, kept with its ops moved here.
 `score_negatives` scores one part of a negative set, and `concat` joins
 the parts as the library did before one node scored the whole set.
@@ -112,6 +115,34 @@ def where_mask(mask, a, fill: float = 0.0) -> Tensor:
     return T._wire(out, (a,), backward)
 
 
+def matmul(a, b) -> Tensor:
+    """Matrix product with NumPy batch-dim broadcasting.
+
+    Gradients: da = g @ b^T, db = a^T @ g (batch dims summed back down). A
+    2-d `b` gets its gradient from `a` and `g` flattened to rows.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs 2-d+ operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+    out = a.data @ b.data
+
+    def backward(g):
+        ga = T._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif b.ndim == 2:
+            # a weight shared by every row of a batched operand: one
+            # [n, rows] x [rows, m] product instead of one per batch and a sum
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = T._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
+
+    return T._wire(out, (a, b), backward)
+
+
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
@@ -177,10 +208,10 @@ def causal_attention(q, k, v, rows, lead, heads, rate=0.0, rng=None) -> Tensor:
 
     q, k, v = split(q), split(k), split(v)
     causal = np.triu(np.full((width, width), M._NEG_INF), k=1)[None, None]
-    logits = T.add(T.mul(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)),
+    logits = T.add(T.mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)),
                    Tensor(causal))
     weights = dropout(softmax(logits, axis=-1), rate, rng, rate > 0.0)
-    mixed = T.reshape(transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b, width, d))
+    mixed = T.reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, width, d))
     return T.take_rows(mixed, rows)
 
 
@@ -219,21 +250,21 @@ def forward(
 
     def attention(h: Tensor, prefix: str) -> Tensor:
         def split(name):  # [b, W, d] projection -> [b, heads, W, dh]
-            proj = T.add(T.matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
+            proj = T.add(matmul(h, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
             return transpose(T.reshape(proj, (b, width, heads, dh)), (0, 2, 1, 3))
 
         q, k, v = split("q"), split("k"), split("v")
-        logits = T.add(T.mul(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), Tensor(causal))
+        logits = T.add(T.mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), Tensor(causal))
         weights = dropout(softmax(logits, axis=-1), cfg.dropout, rng, training)
-        mixed = T.matmul(weights, v)
+        mixed = matmul(weights, v)
         mixed = T.reshape(transpose(mixed, (0, 2, 1, 3)), (b, width, d))
-        out = T.add(T.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        out = T.add(matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
         return dropout(out, cfg.dropout, rng, training)
 
     def feed_forward(h: Tensor, prefix: str) -> Tensor:
-        inner = T.relu(T.add(T.matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+        inner = T.relu(T.add(matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         inner = dropout(inner, cfg.dropout, rng, training)
-        out = T.add(T.matmul(inner, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        out = T.add(matmul(inner, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
         return dropout(out, cfg.dropout, rng, training)
 
     for layer in range(cfg.num_layers):
@@ -275,10 +306,10 @@ def score_negatives(state, packed, ids) -> Tensor:
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             pool = T.take_rows(rows, np.arange(i * k, (i + 1) * k))  # [k, d]
             run = T.take_rows(packed.hidden, np.arange(lo, hi))  # [hi - lo, d]
-            runs.append(T.matmul(run, transpose(pool, (1, 0))))
+            runs.append(matmul(run, transpose(pool, (1, 0))))
         return concat(runs, axis=0)
     rows = T.gather_rows(emb, ids.reshape(b * width, k)[packed.rows])  # [P, k, d]
-    out = T.matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
+    out = matmul(rows, T.reshape(packed.hidden, (positions, d, 1)))  # [P, k, 1]
     return T.reshape(out, (positions, k))
 
 
@@ -289,7 +320,7 @@ def score_sessionwise_on_grid(state, grid, mask, ids) -> Tensor:
     positions picked out with `take_rows`. BLAS sums these products over
     other row counts, so it agrees with the node to rounding, not in bits."""
     rows = T.gather_rows(state.params["item_emb"], ids[:, 0])  # [b, k, d]
-    out = T.matmul(grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
+    out = matmul(grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
     return T.take_rows(out, np.flatnonzero(mask))
 
 

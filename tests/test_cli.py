@@ -83,6 +83,15 @@ class TestPrep:
             assert re.search(r"^error: holdout \d+ ms must be shorter than the data span \d+ ms$",
                              err, re.MULTILINE), err
 
+    @pytest.mark.parametrize("days", ["nan", "inf", "-1", "0"])
+    def test_holdout_that_is_not_finite_and_positive_is_a_usage_error(self, tmp_path, raw_clicks,
+                                                                      capsys, days):
+        code = main(["prep", "--input", str(raw_clicks), "--output-dir", str(tmp_path / "out"),
+                     "--holdout-days", days])
+        assert code == 2
+        assert "error: data.holdout_days must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_record_with_a_list_session_is_a_usage_error(self, tmp_path, raw_clicks, capsys):
         lines = raw_clicks.read_text().splitlines()
         lines.insert(3, json.dumps({"session": [2], "events": [{"aid": 1, "ts": 5, "type": "clicks"}]}))
@@ -226,16 +235,23 @@ class TestEvalVerb:
         assert f"catalog of {n_items}" in err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
+    # num_heads 0 divided hidden_dim by zero, and a float reached
+    # ModelState.initialize as a TypeError, before ModelConfig refused them
+    @pytest.mark.parametrize("key,value,why", [
+        ("num_heads", 0, "num_heads must be positive"),
+        ("max_len", 6.5, "max_len must be an integer, got 6.5"),
+        ("hidden_dim", 8.0, "hidden_dim must be an integer, got 8.0"),
+    ])
     def test_refuses_a_checkpoint_header_config_model_config_refuses(self, tmp_path, prepared,
-                                                                     capsys):
+                                                                     capsys, key, value, why):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),
                      "--epochs", "1", *TRAIN_ARGS]) == 0
         checkpoint = run / "ckpt" / "epoch-1.bin"
         with np.load(checkpoint) as blob:
-            arrays = {key: blob[key] for key in blob.files}
+            arrays = {name: blob[name] for name in blob.files}
         header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
-        header["config"]["num_heads"] = 0  # hidden_dim % 0 divided by zero before
+        header["config"][key] = value
         arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
         with open(checkpoint, "wb") as fh:  # a path would get ".npz" appended
             np.savez(fh, **arrays)
@@ -244,7 +260,7 @@ class TestEvalVerb:
                      "--output-dir", str(tmp_path / "eval-out")])
         assert code == 2
         assert (f"checkpoint {checkpoint} header 'config' does not fit ModelConfig "
-                "(num_heads must be positive)") in capsys.readouterr().err
+                f"({why})") in capsys.readouterr().err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
     def test_refuses_checkpoint_of_another_dataset_manifest(self, tmp_path, prepared, capsys):

@@ -107,9 +107,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="train.eps must be finite and > 0"):
             C.resolve(overrides={"train.eps": value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_holdout_days_must_be_finite_and_positive(self, value):
+        # nan and inf reached cmd_prep's int(...) as a traceback before
+        with pytest.raises(ConfigError, match="data.holdout_days must be finite and > 0"):
+            C.resolve(overrides={"data.holdout_days": value})
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_clip_norm_must_be_finite_and_not_negative(self, value):
+        # nan or a negative norm failed train_step's > 0 test: clipping silently off
+        with pytest.raises(ConfigError, match="train.clip_norm must be finite and >= 0"):
+            C.resolve(overrides={"train.clip_norm": value})
+
     def test_optimizer_bounds_admit_their_edges(self):
         cfg = C.resolve(overrides={"train.beta1": 0.0, "train.beta2": 0.0, "train.lr": 5e-324})
         assert (cfg["train.beta1"], cfg["train.beta2"], cfg["train.lr"]) == (0.0, 0.0, 5e-324)
+        cfg = C.resolve(overrides={"train.clip_norm": 0.0, "data.holdout_days": 5e-324})
+        assert (cfg["train.clip_norm"], cfg["data.holdout_days"]) == (0.0, 5e-324)
 
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ConfigError):

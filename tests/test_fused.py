@@ -2,14 +2,19 @@
 
 The references below are the earlier forms, built from fine-grained autodiff
 ops (`composed`): the three losses with their masked mean, `layer_norm` in eleven nodes,
-and a matmul whose shared-weight gradient is one product per batch entry
-summed down. Tolerances were fixed before the kernels were written:
+a matmul whose shared-weight gradient is one product per batch entry
+summed down, and `linear` as a matmul plus a bias add. Tolerances were fixed
+before the kernels were written:
 
 * loss values within 1e-12 relative, every gradient within 1e-10 absolute;
 * the `layer_norm` forward exactly equal, since eval and the encoder output
   must not move;
-* `matmul`'s forward and left-operand gradient exactly equal.
+* `matmul`'s forward and left-operand gradient exactly equal;
+* `linear`'s output and all three gradients exactly equal, at any BLAS
+  thread count (CI runs the property at two threads as well).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from hypothesis import strategies as st
 import composed as C
 from sessrec import loss as L
 from sessrec import tensor as T
-from sessrec.errors import NumericError
+from sessrec.errors import NumericError, ShapeError
 from sessrec.tensor import Tensor
 
 LOSS_RTOL = 1e-12
@@ -375,7 +380,7 @@ class TestSharedWeightMatmul:
         b_data = rng.normal(size=(n, m))
         upstream = rng.normal(size=(*lead, width, m))
         results = []
-        for fn in (T.matmul, matmul_reference):
+        for fn in (C.matmul, matmul_reference):
             a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
             out = fn(a, b)
             out.backward(seed=upstream)
@@ -392,8 +397,54 @@ class TestSharedWeightMatmul:
         b = Tensor(rng.normal(size=(5, 2)), requires_grad=side in ("weight", "both"))
         w = rng.normal(size=(3, 4, 2))
         params = [t for t in (a, b) if t.requires_grad]
-        assert T.gradcheck(lambda: T.tsum(T.mul(T.matmul(a, b), w)), params, step=1e-5) < 1e-8
+        assert T.gradcheck(lambda: T.tsum(T.mul(C.matmul(a, b), w)), params, step=1e-5) < 1e-8
         if not a.requires_grad:
             assert a.grad is None
         if not b.requires_grad:
             assert b.grad is None
+
+
+# ---------------------------------------------------------------------------
+# the affine map of rows: one `linear` node for `add(matmul(x, w), b)`
+
+
+class TestLinear:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**16))
+    def test_bits_equal_matmul_plus_bias(self, n, d, m, seed):
+        rng = np.random.default_rng(seed)
+        x_data, w_data, b_data = rng.normal(size=(n, d)), rng.normal(size=(d, m)), rng.normal(size=m)
+        upstream = rng.normal(size=(n, m))
+        results = []
+        for fn in (T.linear, lambda x, w, b: T.add(C.matmul(x, w), b)):
+            leaves = [Tensor(v, requires_grad=True) for v in (x_data, w_data, b_data)]
+            out = fn(*leaves)
+            out.backward(seed=upstream)
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, ref in zip(*results):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_one_node_over_its_three_operands(self):
+        x, w, b = (Tensor(np.ones(shape), requires_grad=True) for shape in ((2, 3), (3, 4), (4,)))
+        out = T.linear(x, w, b)
+        assert out.shape == (2, 4) and out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("constant", [None, "x", "w", "b"])
+    def test_gradcheck_and_no_gradient_for_a_constant(self, constant):
+        rng = np.random.default_rng(11)
+        leaves = {name: Tensor(rng.normal(size=shape), requires_grad=name != constant)
+                  for name, shape in (("x", (6, 4)), ("w", (4, 3)), ("b", (3,)))}
+        upstream = rng.normal(size=(6, 3))
+        params = [t for t in leaves.values() if t.requires_grad]
+        err = T.gradcheck(lambda: T.tsum(T.mul(T.linear(*leaves.values()), upstream)), params,
+                          step=1e-5)
+        assert err < 1e-6
+        if constant is not None:
+            assert leaves[constant].grad is None
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 5), (4,)),
+                                        ((1, 2, 3), (3, 5), (5,)), ((2, 3), (3, 5), (1, 5))])
+    def test_shape_error_names_all_three_shapes(self, shapes):
+        x, w, b = (Tensor(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match=".*".join(re.escape(str(s)) for s in shapes)):
+            T.linear(x, w, b)

@@ -145,7 +145,7 @@ BINARY_OPS = {
     "add": (T.add, (3, 4), (4,)),
     "sub": (C.sub, (3, 4), (4,)),
     "mul": (T.mul, (3, 4), (1, 4)),
-    "matmul": (T.matmul, (2, 3, 4), (4, 5)),
+    "matmul": (C.matmul, (2, 3, 4), (4, 5)),
 }
 
 

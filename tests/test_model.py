@@ -1,6 +1,7 @@
 """Encoder contracts: shapes, causality, tied scoring, chunking, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -262,12 +263,25 @@ class TestScoreByParts:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("key", ["hidden_dim", "num_heads", "num_layers"])
+@pytest.mark.parametrize("key", ["hidden_dim", "num_heads", "num_layers", "max_len"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_below_one_is_refused(key, value):
     # checked before hidden_dim % num_heads, which num_heads 0 would divide by
     with pytest.raises(ConfigError, match=f"{key} must be positive"):
         M.ModelConfig(n_items=5, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["n_items", "hidden_dim", "num_layers", "num_heads", "max_len"])
+@pytest.mark.parametrize("value", [8.0, 6.5, "8", None])
+def test_config_field_that_is_not_an_integer_is_refused(key, value):
+    # a float reached rng.normal's size in ModelState.initialize before
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
+        M.ModelConfig(**{"n_items": 5, "hidden_dim": 8, "num_heads": 2, key: value})
+
+
+def test_config_admits_numpy_integers():
+    config = M.ModelConfig(n_items=np.int64(5), hidden_dim=np.int32(8), max_len=np.int64(6))
+    assert (config.n_items, config.hidden_dim, config.max_len) == (5, 8, 6)
 
 
 class TestCheckpoint:
@@ -350,13 +364,19 @@ class TestCheckpoint:
                                              "ModelConfig .*'width'"):
             M.load_checkpoint(path)
 
-    @pytest.mark.parametrize("key,value", [("num_heads", 0), ("hidden_dim", 0),
-                                           ("num_layers", -1), ("n_items", 0)])
-    def test_header_config_that_model_config_refuses_is_named(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key,value,why", [
+        ("num_heads", 0, "num_heads must be positive"),
+        ("hidden_dim", 0, "hidden_dim must be positive"),
+        ("num_layers", -1, "num_layers must be positive"),
+        ("n_items", 0, "n_items must be positive"),
+        ("max_len", 6.5, "max_len must be an integer, got 6.5"),
+        ("hidden_dim", 8.0, "hidden_dim must be an integer, got 8.0"),
+    ])
+    def test_header_config_that_model_config_refuses_is_named(self, tmp_path, key, value, why):
         path = self._rewritten(tmp_path, lambda arrays: self._header(
             arrays, lambda header: header["config"].update({key: value})))
         with pytest.raises(CacheError, match=f"checkpoint {path} header 'config' does not fit "
-                                             f"ModelConfig \\({key} must be positive\\)"):
+                                             f"ModelConfig \\({re.escape(why)}\\)"):
             M.load_checkpoint(path)
 
     def test_header_not_utf8_json_is_named(self, tmp_path):

@@ -53,14 +53,14 @@ def reference_score_negatives(state, hidden, ids):
     gb, gt, k = ids.shape
     if gb == 1 and gt == 1:
         rows = T.gather_rows(emb, ids[0, 0])
-        flat = T.matmul(T.reshape(hidden, (b * width, d)), composed.transpose(rows, (1, 0)))
+        flat = composed.matmul(T.reshape(hidden, (b * width, d)), composed.transpose(rows, (1, 0)))
         return T.reshape(flat, (b, width, k))
     if gt == 1:
         rows = T.gather_rows(emb, ids[:, 0])
-        out = T.matmul(rows, composed.transpose(hidden, (0, 2, 1)))
+        out = composed.matmul(rows, composed.transpose(hidden, (0, 2, 1)))
         return composed.transpose(out, (0, 2, 1))
     rows = T.gather_rows(emb, ids)
-    out = T.matmul(rows, T.reshape(hidden, (b, width, d, 1)))
+    out = composed.matmul(rows, T.reshape(hidden, (b, width, d, 1)))
     return T.reshape(out, (b, width, k))
 
 

@@ -1,5 +1,6 @@
 """Optimizer oracles, determinism, draw accounting, checkpointing, resume."""
 
+import collections
 import json
 import re
 import tempfile
@@ -411,7 +412,8 @@ def test_a_batch_without_negatives_names_the_session():
 
 class TestStepGraph:
     """The graph of one training step at a benchmark workload's keys (b 128,
-    W 20, d 64, two layers): the whole negative set is one scoring node."""
+    W 20, d 64, two layers): each affine map is one `linear` node, and the
+    whole negative set is one scoring node."""
 
     WORKLOADS = {
         "tron-batchwise": {"loss": "ssm", "negs.uniform.count": 2048,
@@ -450,7 +452,7 @@ class TestStepGraph:
 
     def test_tron_batchwise_scores_both_parts_in_one_node(self, monkeypatch):
         nodes, state = self.step_graph(monkeypatch, "tron-batchwise")
-        assert len(nodes) == 55  # one per part plus a concat made 57
+        assert len(nodes) == 43  # 55 with a matmul and a bias add per affine map
         (topk,) = [n for n in nodes if self.made_by(n) == "take_along_last"]
         (scoring,) = topk._parents
         assert self.made_by(scoring) == "_score_negatives"
@@ -461,6 +463,21 @@ class TestStepGraph:
 
     def test_large_catalog_merges_its_sessionwise_sources_into_one_part(self, monkeypatch):
         nodes, state = self.step_graph(monkeypatch, "large-catalog")
-        assert len(nodes) == 54
+        assert len(nodes) == 42
         (scoring,) = [n for n in nodes if self.made_by(n) == "_score_negatives"]
         assert scoring._parents == (scoring._parents[0], state.params["item_emb"])
+
+    def test_each_affine_map_is_one_linear_node(self, monkeypatch):
+        nodes, state = self.step_graph(monkeypatch, "tron-batchwise")
+        ops = collections.Counter(self.made_by(n) for n in nodes)
+        # the position add and four residuals; no bias add is left
+        assert (ops["linear"], ops["add"]) == (12, 5)
+        names = {id(t): name for name, t in state.params.items()}
+        weights = set()
+        for node in (n for n in nodes if self.made_by(n) == "linear"):
+            rows, w, b = node._parents
+            assert id(rows) not in names and rows.shape == (node.shape[0], 64)
+            prefix, weight = names[id(w)].rsplit(".", 1)
+            assert weight[0] == "w" and names[id(b)] == f"{prefix}.b{weight[1:]}"
+            weights.add(names[id(w)])
+        assert len(weights) == 12
