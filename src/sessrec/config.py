@@ -176,8 +176,9 @@ def validate(config: dict) -> dict:
     for key in ("train.lr", "train.eps", "data.holdout_days"):
         if not (math.isfinite(out[key]) and out[key] > 0.0):
             raise ConfigError(f"{key} must be finite and > 0, got {out[key]}")
-    if not (math.isfinite(out["train.clip_norm"]) and out["train.clip_norm"] >= 0.0):
-        raise ConfigError(f"train.clip_norm must be finite and >= 0, got {out['train.clip_norm']}")
+    for key in ("train.clip_norm", "loss.bpr_max.lambda"):
+        if not (math.isfinite(out[key]) and out[key] >= 0.0):
+            raise ConfigError(f"{key} must be finite and >= 0, got {out[key]}")
     for key in ("train.beta1", "train.beta2"):
         if not 0.0 <= out[key] < 1.0:
             raise ConfigError(f"{key} must be in [0, 1), got {out[key]}")

@@ -19,8 +19,10 @@ node over the packed [P, d] rows, each part scored at its sampling
 granularity into its own columns: a batchwise pool is one [P, d] x [d, n]
 product shared by the whole batch, and a sessionwise pool one product over
 its session's valid rows, so no pool is expanded per session or scored at
-a padded slot. The node's backward hands `item_emb` its gradient directly,
-scattered from a feature-major row gradient that BLAS writes in that layout.
+a padded slot. The node's backward hands `item_emb` its gradient directly:
+each part adds its feature-major row gradient into one `[d, n_rows]`
+accumulator a bounded block at a time (whole runs of rows, or groups of
+elementwise positions), so no part's whole row gradient is ever built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .tensor import Tensor
 
 CHECKPOINT_FORMAT = 1
 _NEG_INF = -1e9
+# float64 elements (4 MB) in one block of a negative part's row gradient or
+# gathered rows: whole runs of rows, or elementwise positions, at least one;
+# no result depends on it
+SCATTER_BLOCK = 1 << 19
 
 
 @dataclass
@@ -314,11 +320,14 @@ def _score_negatives(state: ModelState, packed: Packed, negatives: NegativeSet) 
     and backward hands each part that block of the incoming gradient. A
     pooled [g, 1, k] part is one product per run of rows that shares a pool:
     all P rows (g = 1), or each session's contiguous valid rows (g = b);
-    backward has BLAS write each run's row gradient feature-major, a [d, k]
-    slot, for `T.scatter_features`. The products are the composed graph's,
-    operands in its order, and the parents (the packed rows, `item_emb`)
-    repeat once per part in part order, so the engine sums gradients in that
-    graph's order: scores and gradients are bit-identical to it.
+    backward has BLAS write each run's row gradient feature-major, a
+    contiguous [d, k] slot of its group's block, and `T.scatter_features`
+    adds each group into the part's accumulator. An elementwise part
+    gathers, scores and scatters groups of positions. The products are the
+    composed graph's, operands in its order, and the parents (the packed
+    rows, `item_emb`) repeat once per part in part order, so the engine sums
+    gradients in that graph's order: scores and gradients are bit-identical
+    to it.
     """
     emb, hidden = state.params["item_emb"], packed.hidden
     out = np.empty((hidden.shape[0], negatives.count))
@@ -336,10 +345,12 @@ def _score_negatives(state: ModelState, packed: Packed, negatives: NegativeSet) 
 
 def _score_part(table: np.ndarray, packed: Packed, ids: np.ndarray, out: np.ndarray):
     """Write one part's [P, k] scores into `out` and return the part's
-    backward, from that block's gradient to (hidden, `item_emb`) grads."""
+    backward, from that block's gradient to (hidden, `item_emb`) grads.
+    Each block of row gradient holds about `SCATTER_BLOCK` elements."""
     h, n_rows = packed.hidden.data, table.shape[0]
     (b, width), (positions, d) = packed.lead, h.shape
     gb, gt, k = ids.shape
+    step = max(1, SCATTER_BLOCK // max(d * k, 1))  # runs or positions per block
     if gt == 1:
         if gb not in (1, b):
             raise ShapeError(f"sessionwise ids {ids.shape} do not match batch of {b}")
@@ -352,27 +363,34 @@ def _score_part(table: np.ndarray, packed: Packed, ids: np.ndarray, out: np.ndar
             np.matmul(h[lo:hi], table[run_ids].T, out=out[lo:hi])
 
         def backward(g):
-            ghidden = np.empty((positions, d))
-            cols = np.empty((d, gb, k))
-            for i, (run_ids, lo, hi) in enumerate(runs):
-                np.matmul(g[lo:hi], table[run_ids], out=ghidden[lo:hi])
-                np.matmul(h[lo:hi].T, g[lo:hi], out=cols[:, i])
-            return ghidden, T.scatter_features(pool, cols.reshape(d, -1), n_rows)
+            ghidden, acc = np.empty((positions, d)), np.zeros((d, n_rows))
+            for first in range(0, gb, step):
+                group = runs[first:first + step]
+                block = np.empty((len(group), d, k))  # each run's [d, k] slot contiguous
+                for i, (run_ids, lo, hi) in enumerate(group):
+                    np.matmul(g[lo:hi], table[run_ids], out=ghidden[lo:hi])
+                    np.matmul(h[lo:hi].T, g[lo:hi], out=block[i])
+                T.scatter_features(pool[first:first + step], block.transpose(1, 0, 2), acc)
+            return ghidden, acc.T
 
         return backward
     if (gb, gt) != (b, width):
         raise ShapeError(f"elementwise ids {ids.shape} do not match batch {packed.lead}")
     # the valid positions' ids only
     picked = T.row_ids(ids.reshape(b * width, k)[packed.rows], n_rows)  # [P, k]
+    # each group's [m, k, d] rows are gathered in both passes, never held
+    groups = [slice(lo, lo + step) for lo in range(0, positions, step)]
 
     def backward(g):
-        # the [P, k, d] rows are gathered again rather than held from forward,
-        # and freed before the [d, P, k] block is built
-        ghidden = np.swapaxes(table[picked], 1, 2) @ g.reshape(positions, k, 1)
-        cols = np.multiply(h.T[:, :, None], g, order="C")  # [d, P, k]
-        return ghidden.reshape(positions, d), T.scatter_features(picked, cols.reshape(d, -1), n_rows)
+        ghidden, acc = np.empty((positions, d)), np.zeros((d, n_rows))
+        for rows in groups:
+            ghidden[rows] = (np.swapaxes(table[picked[rows]], 1, 2) @ g[rows, :, None])[..., 0]
+            cols = np.multiply(h[rows].T[:, :, None], g[rows], order="C")  # [d, m, k]
+            T.scatter_features(picked[rows], cols, acc)
+        return ghidden, acc.T
 
-    out[:] = (table[picked] @ h.reshape(positions, d, 1)).reshape(positions, k)
+    for rows in groups:
+        out[rows] = (table[picked[rows]] @ h[rows, :, None])[..., 0]
     return backward
 
 

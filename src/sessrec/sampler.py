@@ -268,8 +268,11 @@ def sample_inbatch(
     # each row now has at least `guaranteed` >= count eligible candidates
     keys = np.full(eligible.shape, np.inf)
     keys[eligible] = rng.random(int(eligible.sum()))
-    ids = ids[np.argsort(keys, axis=1)[:, :count]]
-    return NegativeSet(ids[:, None, :])
+    # the `count` smallest keys of each row, then those in key order: the
+    # columns a full argsort would put first, in its order
+    kept = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    kept = np.take_along_axis(kept, np.argsort(np.take_along_axis(keys, kept, 1), axis=1), 1)
+    return NegativeSet(ids[kept][:, None, :])
 
 
 def concat_negatives(first: NegativeSet, second: NegativeSet) -> NegativeSet:

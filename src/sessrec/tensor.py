@@ -12,10 +12,11 @@ meaningful.
 `linear` (`x @ w + b`) and `layer_norm` are one node each; their forwards
 repeat the composed graphs' arithmetic, so their outputs are bit-identical
 to them. The ranking losses, causal attention and the negative-scoring node
-are fused nodes too, built in `loss.py` and `model.py` on `_wire`. Table
-gradients are scattered from a feature-major `[d, N]` row gradient, one
-`np.bincount` per feature (`scatter_features`), bit-identical to
-`np.add.at`.
+are fused nodes too, built in `loss.py` and `model.py` on `_wire`. Each
+table gradient is one feature-major `[d, n_rows]` accumulator per node or
+part, into which `scatter_features` adds a feature-major row gradient, one
+`np.add.at` per feature; any split of the rows into consecutive blocks is
+bit-identical to one `np.add.at` over all of them.
 """
 
 from __future__ import annotations
@@ -315,25 +316,30 @@ def gather_rows(table, ids) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        return (scatter_features(ids, np.ascontiguousarray(g.reshape(-1, d).T), n_rows),)
+        # the transposed view of g: np.add.at reads each feature's strided
+        # row in place, faster than a feature-major copy
+        acc = np.zeros((d, n_rows))
+        scatter_features(ids, g.reshape(-1, d).T, acc)
+        return (acc.T,)
 
     return _wire(out, (table,), backward)
 
 
-def scatter_features(ids: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum `cols[:, i]` into row `ids[i]` of an `[n_rows, d]` zero table.
+def scatter_features(ids: np.ndarray, cols: np.ndarray, acc: np.ndarray) -> None:
+    """Add row gradient `i` into column `ids.flat[i]` of the `[d, n_rows]`
+    accumulator `acc`.
 
-    `cols` is the `[d, N]` row gradient held feature-major, so each feature
-    is one `np.bincount` over a contiguous column, into its row of a
-    `[d, n_rows]` table; the result is that table's transposed view. Each
-    bin adds its values in id order starting from zero, exactly as
-    `np.add.at` does, so the result is bit-identical to it.
+    `cols` holds the rows feature-major, `[d, *ids.shape]`, so each feature
+    is one `np.add.at` of its rows flattened to one axis (a copy only where
+    they are not one strided run) into a contiguous row of `acc`.
+    `np.add.at` adds in id-occurrence order, so calls over consecutive
+    blocks of rows into a zeroed `acc` are bit-identical to one `np.add.at`
+    over all of them, and to the `np.bincount` per feature (which also adds
+    in that order from zero) that this replaced.
     """
     ids = ids.reshape(-1)
-    out = np.empty((cols.shape[0], n_rows))
-    for f, col in enumerate(cols):
-        out[f] = np.bincount(ids, col, minlength=n_rows)
-    return out.T
+    for f in range(cols.shape[0]):
+        np.add.at(acc[f], ids, cols[f].reshape(-1))
 
 
 def take_rows(a, rows) -> Tensor:

@@ -52,7 +52,14 @@ def clip_gradient_norm(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction over a named parameter table."""
+    """Adam with bias correction over a named parameter table.
+
+    The moments are updated in place, and the step is formed in two scratch
+    arrays with the operations of `m = b1 m + (1 - b1) g`, `v = b2 v +
+    (1 - b2) g g` and `p - lr m^ / (sqrt(v^) + eps)` in their written order,
+    so it is bit-identical to that formula. The parameter gets a new array,
+    so nothing that holds the old one sees it change.
+    """
 
     def __init__(
         self,
@@ -77,17 +84,26 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for name, p, g in grads:
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1**t)
-            v_hat = self.v[name] / (1.0 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            first, second = np.empty_like(m), np.empty_like(v)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=first)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=second)
+            v += np.multiply(second, g, out=second)
+            np.divide(m, 1.0 - self.beta1**t, out=first)  # m^
+            np.divide(v, 1.0 - self.beta2**t, out=second)  # v^
+            np.multiply(self.lr, first, out=first)
+            np.sqrt(second, out=second)
+            second += self.eps
+            p.data = p.data - np.divide(first, second, out=first)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of the step count and moments, for a checkpoint."""
         out = {"opt.step": np.array([self.step_count], dtype=np.int64)}
         for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
+            out[f"opt.m.{name}"] = self.m[name].copy()
+            out[f"opt.v.{name}"] = self.v[name].copy()
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:

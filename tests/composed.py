@@ -17,7 +17,9 @@ the parts as the library did before one node scored the whole set.
 `score_sessionwise_on_grid` is the [b, W, d] grid form that sessionwise
 negatives had before the node scored each session's packed rows.
 `make_batches` is the list-of-`Session` batcher that `data.make_batches`
-replaced, kept as its reference.
+replaced, kept as its reference. `scatter_features` is the one-`np.bincount`-
+per-feature table scatter that built each table gradient whole before
+`tensor.scatter_features` added blocks of rows into an accumulator.
 """
 
 from __future__ import annotations
@@ -322,6 +324,22 @@ def score_sessionwise_on_grid(state, grid, mask, ids) -> Tensor:
     rows = T.gather_rows(state.params["item_emb"], ids[:, 0])  # [b, k, d]
     out = matmul(grid, transpose(rows, (0, 2, 1)))  # [b, W, k]
     return T.take_rows(out, np.flatnonzero(mask))
+
+
+def scatter_features(ids: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum `cols[:, i]` into row `ids[i]` of an `[n_rows, d]` zero table.
+
+    `cols` is the `[d, N]` row gradient held feature-major, so each feature
+    is one `np.bincount` over a contiguous column, into its row of a
+    `[d, n_rows]` table; the result is that table's transposed view. Each
+    bin adds its values in id order starting from zero, exactly as
+    `np.add.at` does, so the result is bit-identical to it.
+    """
+    ids = ids.reshape(-1)
+    out = np.empty((cols.shape[0], n_rows))
+    for f, col in enumerate(cols):
+        out[f] = np.bincount(ids, col, minlength=n_rows)
+    return out.T
 
 
 def make_batches(sessions, batch_size=128, max_len=50, pad_id=None, shuffle_rng=None, trim=False):

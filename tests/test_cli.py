@@ -157,11 +157,12 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize("key,value", [("train.lr", "nan"), ("train.beta1", "1"),
-                                           ("train.beta2", "1"), ("train.eps", "0")])
+                                           ("train.beta2", "1"), ("train.eps", "0"),
+                                           ("loss.bpr_max.lambda", "nan")])
     def test_out_of_range_optimizer_setting_rejected(self, tmp_path, prepared, capsys,
                                                      key, value):
         code = main(["train", "--input", str(prepared), "--output-dir",
-                     str(tmp_path / "x"), f"--{key}", value])
+                     str(tmp_path / "x"), "--loss", "bpr-max", f"--{key}", value])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

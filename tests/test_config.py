@@ -119,11 +119,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="train.clip_norm must be finite and >= 0"):
             C.resolve(overrides={"train.clip_norm": value})
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bpr_max_lambda_must_be_finite_and_not_negative(self, value):
+        # nan diverged at the first batch; a negative weight rewards large
+        # negative scores
+        with pytest.raises(ConfigError, match="loss.bpr_max.lambda must be finite and >= 0"):
+            C.resolve(overrides={"loss": "bpr-max", "loss.bpr_max.lambda": value})
+
     def test_optimizer_bounds_admit_their_edges(self):
         cfg = C.resolve(overrides={"train.beta1": 0.0, "train.beta2": 0.0, "train.lr": 5e-324})
         assert (cfg["train.beta1"], cfg["train.beta2"], cfg["train.lr"]) == (0.0, 0.0, 5e-324)
-        cfg = C.resolve(overrides={"train.clip_norm": 0.0, "data.holdout_days": 5e-324})
-        assert (cfg["train.clip_norm"], cfg["data.holdout_days"]) == (0.0, 5e-324)
+        cfg = C.resolve(overrides={"train.clip_norm": 0.0, "data.holdout_days": 5e-324,
+                                   "loss.bpr_max.lambda": 0.0})
+        assert (cfg["train.clip_norm"], cfg["data.holdout_days"],
+                cfg["loss.bpr_max.lambda"]) == (0.0, 5e-324, 0.0)
 
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ConfigError):

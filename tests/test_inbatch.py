@@ -129,6 +129,22 @@ def test_matches_the_per_session_reference(batch, pool, count, seed):
         assert (taken <= (pooled[:, None] == values).sum(axis=0)).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(batches(), st.sampled_from(POOLS), st.integers(0, 2**32 - 1))
+def test_partial_selection_equals_the_full_argsort(batch, pool, seed):
+    # the kept keys' columns, in key order, are the first `count` columns of
+    # each row's full argsort, at the largest count the batch allows
+    count = S.inbatch_capacity(batch)
+    if count == 0:
+        return
+    ids, eligible, _ = S._inbatch_pool(batch, pool)
+    keys = np.full(eligible.shape, np.inf)
+    keys[eligible] = S.rng_stream(seed, "inbatch").random(int(eligible.sum()))
+    expected = ids[np.argsort(keys, axis=1)[:, :count]]
+    out = S.sample_inbatch(batch, count, S.rng_stream(seed, "inbatch"), pool)
+    np.testing.assert_array_equal(out.ids[:, 0], expected)
+
+
 @pytest.mark.parametrize("pool", POOLS)
 def test_first_draw_follows_the_exact_law(pool):
     session_items = [[0, 1], [2, 2, 3], [1, 4, 4, 5], [3, 6]]

@@ -3,7 +3,10 @@
 Each reference below is the earlier, obviously-correct form of a kernel:
 `np.add.at` for the embedding scatter-add, a partition/cumsum top-k, a
 boolean-indexed piecewise sigmoid and binary ops that always compute both
-gradients. The kernels must reproduce them bit for bit.
+gradients. The kernels must reproduce them bit for bit. The table-gradient
+accumulator, fed in blocks of rows, must reproduce `composed.scatter_features`
+(the whole table built at once, one `np.bincount` per feature) at any block
+size.
 """
 
 import numpy as np
@@ -12,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed as C
+from sessrec import model as M
 from sessrec import sampler as S
 from sessrec import tensor as T
 from sessrec.errors import ShapeError
+from sessrec.sampler import NegativeSet
 
 
 def add_at_reference(n_rows, ids, upstream):
@@ -87,6 +92,90 @@ class TestScatterAdd:
     def test_table_must_be_two_dimensional(self, shape):
         with pytest.raises(ShapeError, match=r"2-d table.*" + r"\(" + ", ".join(map(str, shape))):
             T.gather_rows(T.Tensor(np.zeros(shape), requires_grad=True), [0])
+
+
+def reference_table_grad(packed, ids, g, n_rows):
+    """A negative part's `item_emb` gradient as the node built it before it
+    had an accumulator: the part's whole [d, b k] (pooled) or [d, P, k]
+    (elementwise) row gradient, then one bincount scatter."""
+    h, (b, width) = packed.hidden.data, packed.lead
+    d = h.shape[1]
+    gb, gt, k = ids.shape
+    if gt == 1:
+        bounds = np.searchsorted(packed.rows, np.arange(gb + 1) * (b * width // gb))
+        cols = np.empty((d, gb, k))
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.matmul(h[lo:hi].T, g[lo:hi], out=cols[:, i])
+        return C.scatter_features(ids[:, 0], cols.reshape(d, -1), n_rows)
+    picked = ids.reshape(b * width, k)[packed.rows]
+    cols = np.multiply(h.T[:, :, None], g, order="C")
+    return C.scatter_features(picked, cols.reshape(d, -1), n_rows)
+
+
+# model.SCATTER_BLOCK for one block, two, or one per run, over `runs` runs
+# of `size` elements
+BLOCKS = {"one": lambda runs, size: 1 << 40,
+          "two": lambda runs, size: -(-runs // 2) * size,
+          "one per run": lambda runs, size: 1}
+
+
+class TestAccumulator:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 17),
+        st.integers(0, 40),
+        st.lists(st.integers(0, 40), max_size=4),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_blocks_bits_equal_one_bincount_scatter(self, n_rows, d, n, cuts, strided, seed):
+        # consecutive blocks of rows (some empty) added into one accumulator
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n_rows, size=n)  # small tables repeat ids
+        ids[: n // 4] = n_rows - 1  # the pad row takes gradient like any other
+        cols = rng.standard_normal((n, d)).T if strided else rng.standard_normal((d, n))
+        cols *= 10.0 ** rng.integers(-300, 300, size=(d, 1))
+        acc = np.zeros((d, n_rows))
+        bounds = [0, *sorted(min(c, n) for c in cuts), n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            T.scatter_features(ids[lo:hi], cols[:, lo:hi], acc)
+        np.testing.assert_array_equal(bits(acc.T), bits(C.scatter_features(ids, cols, n_rows)))
+
+    @pytest.mark.parametrize("groups", BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        granularity=st.sampled_from(["batchwise", "sessionwise", "elementwise"]),
+        b=st.integers(1, 5),
+        width=st.integers(1, 5),
+        d=st.sampled_from([1, 3, 16]),
+        k=st.integers(0, 9),
+        n_items=st.integers(1, 30),
+        masked=st.sampled_from(["none", "random", "empty"]),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_negative_part_bits_equal_one_bincount_scatter(self, groups, granularity, b, width,
+                                                           d, k, n_items, masked, strided, seed):
+        rng = np.random.default_rng(seed)
+        shape = {"batchwise": (1, 1, k), "sessionwise": (b, 1, k),
+                 "elementwise": (b, width, k)}[granularity]
+        ids = rng.integers(0, min(4, n_items + 1), size=shape)  # repeats within a run
+        ids[rng.random(shape) < 0.3] = n_items  # the pad row
+        mask = {"none": None, "random": rng.random((b, width)) < 0.6,
+                "empty": np.zeros((b, width), dtype=bool)}[masked]
+        state = M.ModelState.initialize(M.ModelConfig(n_items=n_items, hidden_dim=d, max_len=8))
+        emb = state.params["item_emb"]
+        packed = M.pack(T.Tensor(rng.standard_normal((b, width, d)), requires_grad=True), mask)
+        positions = packed.rows.size
+        upstream = (rng.standard_normal((k, positions)).T if strided
+                    else rng.standard_normal((positions, k)))
+        runs = positions if granularity == "elementwise" else shape[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "SCATTER_BLOCK", BLOCKS[groups](runs, d * k))
+            M.score(state, packed, NegativeSet(ids)).backward(seed=upstream)
+        expected = reference_table_grad(packed, ids, upstream, n_items + 1)
+        np.testing.assert_array_equal(bits(emb.grad), bits(expected))
 
 
 def heavy_tie_scores(rng, lead, n):

@@ -196,29 +196,48 @@ def test_sessionwise_runs_match_the_grid_form(data):
         np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
-def test_elementwise_rows_are_not_held_between_the_passes():
-    # backward gathers the [P, k, d] rows again and frees them before it
-    # builds its [d, P, k] block, so it never holds two such blocks either
-    rng = np.random.default_rng(8)
-    b, width, d, k, n_items = 8, 12, 32, 128, 500
-    state = model(rng, n_items, d)
-    ids = draw_ids(rng, (b, width, k), n_items, "pad")
-    grid = rng.standard_normal((b, width, d))
-    mask = rng.random((b, width)) < 0.8
-    upstream = rng.standard_normal((int(mask.sum()), k))
-    block = upstream.size * d * 8
+def traced_peak(run):
+    """`run()`'s result, and the bytes it allocated at its peak above what
+    was live before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        scores = node(state, T.Tensor(grid, requires_grad=True), mask, ids)
-        held = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        scores.backward(seed=upstream)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert held < block
-    assert peak < 1.5 * block
+
+
+MB = 1 << 20
+
+
+def test_sessionwise_backward_stays_within_16_mb():
+    # the large-catalog shape: its whole [d, b k] row gradient is 35.6 MB
+    rng = np.random.default_rng(8)
+    b, width, d, k, n_items = 128, 20, 64, 544, 9589
+    state = model(rng, n_items, d)
+    ids = draw_ids(rng, (b, 1, k), n_items, "pad")
+    mask = np.arange(width) < rng.integers(3, 12, size=(b, 1))
+    scores = node(state, T.Tensor(rng.standard_normal((b, width, d)), requires_grad=True),
+                  mask, ids)
+    upstream = rng.standard_normal(scores.shape)
+    assert traced_peak(lambda: scores.backward(seed=upstream))[1] <= 16 * MB
+
+
+def test_elementwise_passes_stay_within_16_mb():
+    # P 376 and k 544: the whole [P, k, d] rows, or the [d, P, k] row
+    # gradient, are 104.7 MB; each pass gathers and scatters groups of rows
+    rng = np.random.default_rng(8)
+    b, width, d, k, n_items = 32, 20, 64, 544, 9589
+    state = model(rng, n_items, d)
+    ids = draw_ids(rng, (b, width, k), n_items, "pad")
+    mask = np.zeros(b * width, dtype=bool)
+    mask[rng.choice(b * width, 376, replace=False)] = True
+    grid = T.Tensor(rng.standard_normal((b, width, d)), requires_grad=True)
+    scores, forward_peak = traced_peak(lambda: node(state, grid, mask.reshape(b, width), ids))
+    upstream = rng.standard_normal(scores.shape)
+    assert forward_peak <= 16 * MB
+    assert traced_peak(lambda: scores.backward(seed=upstream))[1] <= 16 * MB
 
 
 @pytest.mark.parametrize("kind", ["distinct", "repeated"])

@@ -97,6 +97,39 @@ class TestAdam:
         TR.Adam(p).step()
         np.testing.assert_array_equal(p["w"].data, [1.0])
 
+    def test_in_place_step_bits_equal_the_written_formula(self):
+        # a C-ordered gradient, and a table gradient held feature-major (the
+        # transposed view of a [d, n] accumulator), as the scatter hands it
+        rng = np.random.default_rng(12)
+        shapes = {"w": (7, 5), "emb": (9, 4)}
+        p = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+             for name, shape in shapes.items()}
+        opt = TR.Adam(p, lr=0.03, beta1=0.8, beta2=0.95, eps=1e-6)
+        data = {name: t.data.copy() for name, t in p.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        held = []
+        for t in range(1, 6):
+            held.append(({key: value.copy() for key, value in opt.state_arrays().items()},
+                         opt.state_arrays()))
+            for name, shape in shapes.items():
+                g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+                p[name].grad = g if name == "w" else np.ascontiguousarray(g.T).T
+                m[name] = 0.8 * m[name] + (1.0 - 0.8) * g
+                v[name] = 0.95 * v[name] + (1.0 - 0.95) * g * g
+                m_hat = m[name] / (1.0 - 0.8**t)
+                v_hat = v[name] / (1.0 - 0.95**t)
+                data[name] = data[name] - 0.03 * m_hat / (np.sqrt(v_hat) + 1e-6)
+            opt.step()
+            for name in shapes:
+                for got, want in ((p[name].data, data[name]), (opt.m[name], m[name]),
+                                  (opt.v[name], v[name])):
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # what state_arrays handed out before a step is not moved by it
+        for copied, handed in held:
+            for key in copied:
+                np.testing.assert_array_equal(handed[key], copied[key], err_msg=key)
+
 
 class TestClipping:
     def test_norm_ten_clipped_to_one(self):
