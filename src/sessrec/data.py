@@ -470,8 +470,9 @@ def load_prepared(in_dir) -> PreparedDataset:
     """Read the archive written by `save_prepared`, and no other file: each
     split is a `Sessions` over the archive's arrays, the catalog size is the
     length of `catalog`, the frequencies are the train items' counts.
-    CacheError names the array or entry at fault, or an array whose dtype is
-    not integer (items, timestamps, offsets) or text (catalog, session ids)."""
+    CacheError names the array or entry at fault, an array whose dtype is
+    not integer (items, timestamps, offsets) or text (catalog, session ids),
+    or the session whose timestamps go back in time."""
     path = Path(in_dir) / "data.npz"
     arrays = load_arrays(path)
     for name in CACHE_ARRAYS:
@@ -508,7 +509,15 @@ def load_prepared(in_dir) -> PreparedDataset:
         if bad.any():
             raise CacheError(f"{path} {prefix}_items holds id {int(items[bad][0])} "
                              f"outside [0, {n_items})")
-        splits.append(Sessions(_raw_ids(sids.tolist(), path, f"{prefix}_sids"), items, ts, offsets))
+        session_ids = _raw_ids(sids.tolist(), path, f"{prefix}_sids")
+        first = np.zeros(len(ts) + 1, dtype=bool)
+        first[offsets[:-1]] = True  # events that open a session
+        back = np.flatnonzero((ts[1:] < ts[:-1]) & ~first[1:-1])  # no np.diff: ts may be unsigned
+        if len(back):
+            i = int(np.searchsorted(offsets, back[0] + 1, side="right")) - 1
+            raise CacheError(f"{path} {prefix}_ts goes back in time within session "
+                             f"{session_ids[i]!r}; re-run `sessrec prep`")
+        splits.append(Sessions(session_ids, items, ts, offsets))
     frequencies = np.bincount(arrays["train_items"], minlength=n_items)
     return PreparedDataset(splits[0], splits[1], Catalog(id_map, frequencies))
 

@@ -5,7 +5,10 @@ position t must rank the item at t+1 against the entire catalog. Candidate
 sampling is never used. Ties are resolved pessimistically: items scoring
 exactly the target's score are ranked ahead of it, so a constant-score model
 earns zero recall rather than an inflated one. Scores come from BLAS products
-of one fixed tile shape, so no rank depends on the chunk size. The hidden
+of one fixed tile shape, so no rank depends on the chunk size. Each ranking
+call writes them into one reused row-major score block and counts each
+transition's row of it on its own; the products are the plain tile
+products, bit for bit. The hidden
 states they score are not batch-invariant: an eval batch is trimmed to its
 longest session and the encoder packs its real items, and BLAS may sum a
 product's rows differently at another width or row count, so a near-tied
@@ -90,6 +93,13 @@ def _rank_rows(hidden: np.ndarray, targets: np.ndarray, emb: np.ndarray,
     last row tile and the catalog are zero-padded to whole tiles and padded
     columns are left out of the count. Each target's score is read from its
     own column of the same product, so the count includes the target.
+
+    The products of a score block are written into one row-major
+    [TILE_ROWS, width, TILE_COLS] buffer, allocated once per call, so each
+    transition's scores over the block are one contiguous run: a row tile
+    compares into one reused boolean buffer and counts each row with a 1-d
+    `np.count_nonzero`. The last block read for target scores is still in
+    the buffer, so it is counted first and not computed again.
     """
     n, d = emb.shape
     n_pad, row_pad = -n % TILE_COLS, -len(targets) % TILE_ROWS
@@ -102,6 +112,9 @@ def _rank_rows(hidden: np.ndarray, targets: np.ndarray, emb: np.ndarray,
     rows = np.pad(hidden, ((0, row_pad), (0, 0)))
     padded_targets = np.pad(targets, (0, row_pad))
     ranks = np.empty(len(rows), dtype=np.int64)
+    buf = np.empty((TILE_ROWS, width, TILE_COLS))
+    scores = buf.reshape(TILE_ROWS, width * TILE_COLS)  # row i: its scores over the block
+    ge = np.empty(scores.shape, dtype=bool)
     at = np.arange(TILE_ROWS)
     for lo in range(0, len(rows), TILE_ROWS):
         h = rows[lo : lo + TILE_ROWS]
@@ -109,18 +122,29 @@ def _rank_rows(hidden: np.ndarray, targets: np.ndarray, emb: np.ndarray,
         # the blocks holding this row tile's targets fix the target scores ...
         score = np.empty(TILE_ROWS)
         for start in np.unique(tile // width) * width:
-            block = h @ tiles[start : start + width]  # [width, TILE_ROWS, TILE_COLS]
+            w = _tile_products(h, tiles, start, buf)
             here = (tile >= start) & (tile < start + width)
-            score[here] = block[tile[here] - start, at[here], col[here]]
-        # ... then every block is counted; the last one computed is reused
-        kept_start, kept = start, block
+            score[here] = buf[at[here], tile[here] - start, col[here]]
+        # ... then every block is counted, the one still in `buf` first
+        kept = start
         count = np.zeros(TILE_ROWS, dtype=np.int64)
-        for start in range(0, n_tiles, width):
-            block = kept if start == kept_start else h @ tiles[start : start + width]
-            count += np.count_nonzero(block >= score[None, :, None], axis=(0, 2))
-        count -= np.count_nonzero(block[-1, :, TILE_COLS - n_pad :] >= score[:, None], axis=1)
+        for start in [kept, *range(0, kept, width), *range(kept + width, n_tiles, width)]:
+            if start != kept:
+                w = _tile_products(h, tiles, start, buf)
+            cols = w * TILE_COLS - (n_pad if start + w == n_tiles else 0)  # real columns
+            np.greater_equal(scores[:, :cols], score[:, None], out=ge[:, :cols])
+            count += [np.count_nonzero(row) for row in ge[:, :cols]]
         ranks[lo : lo + TILE_ROWS] = count
     return ranks[: len(targets)]
+
+
+def _tile_products(h: np.ndarray, tiles: np.ndarray, start: int, buf: np.ndarray) -> int:
+    """Write `h @ tiles[start : start + w]` row-major into `buf[:, :w]` and
+    return w, the column tiles that fit in `buf` from `start`. Each tile is
+    the BLAS call `h @ tiles[t]`, written through a strided view, bit for bit."""
+    w = min(buf.shape[1], len(tiles) - start)
+    np.matmul(h, tiles[start : start + w], out=buf[:, :w].transpose(1, 0, 2))
+    return w
 
 
 def _ranked_batches(state: ModelState, sessions: Sequence[Session], batch_size: int,

@@ -427,10 +427,23 @@ def checkpoint_record(path, extra: dict[str, np.ndarray], key: str) -> dict:
     return record
 
 
+def check_floats(stored: np.ndarray, shape: tuple, what: str, layout: str) -> None:
+    """CacheError, naming `what` and the fault, unless `stored` is a real
+    floating array of `shape` with every value finite; `layout` names where
+    `shape` comes from."""
+    if stored.shape != shape:
+        raise CacheError(f"{what} has shape {stored.shape}, but {layout} {shape}")
+    if stored.dtype.kind != "f":
+        raise CacheError(f"{what} has dtype {stored.dtype}, not a real floating type")
+    if not np.isfinite(stored).all():
+        raise CacheError(f"{what} holds a value that is not finite")
+
+
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     """The state and extra arrays of a `save_checkpoint` file. CacheError names
     the key of a missing header or parameter, a config that ModelConfig
-    refuses, or a parameter not of the shape that config lays out."""
+    refuses, or a parameter that is not a finite real floating array of the
+    shape that config lays out."""
     extra = load_arrays(path)
     if "__header__" not in extra:
         raise CacheError(f"checkpoint {path} holds no '__header__'")
@@ -451,8 +464,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
         stored = extra.pop(name, None)
         if stored is None:
             raise CacheError(f"checkpoint {path} holds no parameter {name!r}")
-        if stored.shape != param.shape:
-            raise CacheError(f"checkpoint {path} parameter {name!r} has shape {stored.shape}, "
-                             f"but its config lays out {param.shape}")
+        check_floats(stored, param.shape, f"checkpoint {path} parameter {name!r}",
+                     "its config lays out")
         state.params[name] = Tensor(stored, requires_grad=True)
     return state, extra

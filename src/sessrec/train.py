@@ -107,20 +107,22 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore `state_arrays`; CacheError names a missing array, a bad step
-        or a moment not of its parameter's shape, before any state changes."""
+        """Restore `state_arrays`; CacheError names a missing array, a bad step,
+        a moment that is not a finite real floating array of its parameter's
+        shape, or a negative second moment, before any state changes."""
         step = _stored_count(arrays, "opt.step", "optimizer state")
         for name, p in self.params.items():
             for key in (f"opt.m.{name}", f"opt.v.{name}"):
                 if key not in arrays:
                     raise CacheError(f"optimizer state has no {key!r}")
-                if arrays[key].shape != p.shape:
-                    raise CacheError(f"optimizer state {key!r} has shape {arrays[key].shape}, "
-                                     f"but its parameter has {p.shape}")
+                M.check_floats(arrays[key], p.shape, f"optimizer state {key!r}",
+                               "its parameter has")
+            if (arrays[f"opt.v.{name}"] < 0).any():  # the step takes sqrt(v)
+                raise CacheError(f"optimizer state 'opt.v.{name}' holds a negative value")
         self.step_count = step
         for name in self.params:
-            self.m[name] = arrays[f"opt.m.{name}"].copy()
-            self.v[name] = arrays[f"opt.v.{name}"].copy()
+            self.m[name] = arrays[f"opt.m.{name}"].astype(np.float64)
+            self.v[name] = arrays[f"opt.v.{name}"].astype(np.float64)
 
 
 @dataclass

@@ -20,6 +20,9 @@ negatives had before the node scored each session's packed rows.
 replaced, kept as its reference. `scatter_features` is the one-`np.bincount`-
 per-feature table scatter that built each table gradient whole before
 `tensor.scatter_features` added blocks of rows into an accumulator.
+`rank_rows` is the eval ranker that counted each [width, TILE_ROWS,
+TILE_COLS] score block with one 3-d reduction before `evaluate._rank_rows`
+wrote the same products row-major into one reused buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.data import SessionBatch
 from sessrec.errors import ConfigError, NumericError, ShapeError
+from sessrec.evaluate import TILE_COLS, TILE_ROWS
 from sessrec.tensor import Tensor, as_tensor
 
 
@@ -371,3 +375,47 @@ def make_batches(sessions, batch_size=128, max_len=50, pad_id=None, shuffle_rng=
             targets[i, : n - 1] = items[1:]
             mask[i, : n - 1] = True
         yield SessionBatch(ids, targets, mask, pad_id, members)
+
+
+def rank_rows(hidden: np.ndarray, targets: np.ndarray, emb: np.ndarray,
+              chunk_size: int | None) -> np.ndarray:
+    """Rank of `targets[i]` among the scores `emb @ hidden[i]`, ties counted.
+
+    Every score comes from a BLAS product of the one shape
+    [TILE_ROWS, d] x [d, TILE_COLS], so an item's score for a transition
+    does not depend on which other transitions or items share its tile; the
+    last row tile and the catalog are zero-padded to whole tiles and padded
+    columns are left out of the count. Each target's score is read from its
+    own column of the same product, so the count includes the target.
+    """
+    n, d = emb.shape
+    n_pad, row_pad = -n % TILE_COLS, -len(targets) % TILE_ROWS
+    n_tiles = (n + n_pad) // TILE_COLS
+    tiles = np.pad(emb, ((0, n_pad), (0, 0))).reshape(n_tiles, TILE_COLS, d)
+    tiles = np.ascontiguousarray(tiles.transpose(0, 2, 1))  # [n_tiles, d, TILE_COLS]
+    width = n_tiles  # column tiles per score block
+    if chunk_size is not None and chunk_size > 0:
+        width = min(n_tiles, -(-chunk_size // TILE_COLS))
+    rows = np.pad(hidden, ((0, row_pad), (0, 0)))
+    padded_targets = np.pad(targets, (0, row_pad))
+    ranks = np.empty(len(rows), dtype=np.int64)
+    at = np.arange(TILE_ROWS)
+    for lo in range(0, len(rows), TILE_ROWS):
+        h = rows[lo : lo + TILE_ROWS]
+        tile, col = np.divmod(padded_targets[lo : lo + TILE_ROWS], TILE_COLS)
+        # the blocks holding this row tile's targets fix the target scores ...
+        score = np.empty(TILE_ROWS)
+        for start in np.unique(tile // width) * width:
+            block = h @ tiles[start : start + width]  # [width, TILE_ROWS, TILE_COLS]
+            here = (tile >= start) & (tile < start + width)
+            score[here] = block[tile[here] - start, at[here], col[here]]
+        # ... then every block is counted; the last one computed is reused
+        kept_start, kept = start, block
+        count = np.zeros(TILE_ROWS, dtype=np.int64)
+        for start in range(0, n_tiles, width):
+            block = kept if start == kept_start else h @ tiles[start : start + width]
+            count += np.count_nonzero(block >= score[None, :, None], axis=(0, 2))
+        count -= np.count_nonzero(block[-1, :, TILE_COLS - n_pad :] >= score[:, None], axis=1)
+        ranks[lo : lo + TILE_ROWS] = count
+    return ranks[: len(targets)]
+

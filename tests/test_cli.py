@@ -264,6 +264,22 @@ class TestEvalVerb:
                 f"({why})") in capsys.readouterr().err
         assert not (tmp_path / "eval-out" / "eval.json").exists()
 
+    def test_refuses_a_checkpoint_parameter_that_is_not_finite(self, tmp_path, prepared, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(prepared), "--output-dir", str(run),
+                     "--epochs", "1", *TRAIN_ARGS]) == 0
+        state, extra = M.load_checkpoint(run / "ckpt" / "epoch-1.bin")
+        state.params["item_emb"].data[2, 1] = np.nan
+        other = tmp_path / "other.bin"
+        M.save_checkpoint(state, other, extra)
+        capsys.readouterr()
+        code = main(["eval", "--input", str(prepared), "--checkpoint", str(other),
+                     "--output-dir", str(tmp_path / "eval-out")])
+        assert code == 2
+        assert (f"checkpoint {other} parameter 'item_emb' holds a value that is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "eval-out" / "eval.json").exists()
+
     def test_refuses_checkpoint_of_another_dataset_manifest(self, tmp_path, prepared, capsys):
         run = tmp_path / "run"
         assert main(["train", "--input", str(prepared), "--output-dir", str(run),

@@ -519,6 +519,35 @@ class TestCacheValidation:
         with pytest.raises(CacheError, match="train_ts"):
             D.load_prepared(tmp_path)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_timestamps_going_back_within_a_session(self, tmp_path, dtype):
+        def back(ts):
+            ts = ts.astype(dtype)
+            ts[0] = ts[1] + 1  # the first session's first event, after its second
+            return ts
+        ds = self._corrupt(tmp_path, train_ts=back)
+        sid = ds.train.session_ids[0]
+        with pytest.raises(CacheError, match=f"data.npz train_ts goes back in time within "
+                                             f"session {sid!r}"):
+            D.load_prepared(tmp_path)
+
+    def test_timestamps_may_go_back_between_sessions(self, tmp_path):
+        # each session starts before the one stored ahead of it ends, one
+        # session is empty, and a session holds equal timestamps
+        def shifted(ts):
+            session = np.repeat(np.arange(len(lengths)), lengths)
+            ts = ts - 10**6 * session
+            ts[1] = ts[0]
+            return ts
+        ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)
+        lengths = np.diff(ds.train.offsets)
+        self._corrupt(tmp_path, train_ts=shifted,
+                      train_offsets=lambda o: np.concatenate([[0], o]),
+                      train_sids=lambda sids: np.concatenate([['"empty"'], sids]))
+        loaded = D.load_prepared(tmp_path)
+        assert loaded.train.session_ids[0] == "empty"
+        assert [s.items for s in loaded.train][1:] == [s.items for s in ds.train]
+
     @pytest.mark.parametrize("split,bad_id", [("test", 10**6), ("train", -1), ("train", "n")])
     def test_item_id_out_of_range(self, tmp_path, split, bad_id):
         ds = D.prepare_dataset(cache_events(), min_support=2, min_len=2, holdout=500)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed
+from test_negative_scoring import MB, traced_peak
 from sessrec import evaluate as E
 from sessrec import model as M
 from sessrec.data import Session, make_batches
@@ -163,6 +165,64 @@ class TestTiledRanks:
                                  capture_output=True, text=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestRowMajorBlock:
+    """The ranker that writes each score block row-major into one reused
+    buffer against `composed.rank_rows`, which counted fresh [width,
+    TILE_ROWS, TILE_COLS] blocks with one 3-d reduction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, C - 1, C, C + 1]), st.integers(1, 3000)),
+        st.sampled_from([1, 64, 100, 200]),
+        st.one_of(st.sampled_from([1, R - 1, R, R + 1]), st.integers(1, 300)),
+        st.one_of(st.sampled_from([None, 1, C, C + 1]), st.integers(0, 3500)),
+        st.sampled_from(["normal", "quantized", "duplicates", "constant"]),
+        st.integers(0, 2**16),
+    )
+    def test_ranks_equal_the_reference(self, n, d, m, chunk, kind, seed):
+        rng = np.random.default_rng(seed)
+        emb, hidden = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        if kind == "quantized":  # many exact ties among the scores
+            emb, hidden = np.round(emb * 2) / 2, np.round(hidden * 2) / 2
+        elif kind == "duplicates":
+            emb = emb[rng.integers(0, max(1, n // 8), n)]
+        elif kind == "constant":
+            emb[:] = emb[0]
+        targets = rng.integers(0, n, m)
+        targets[::3] = rng.integers((n - 1) // C * C, n, len(targets[::3]))  # last tile
+        got = E._rank_rows(hidden, targets, emb, chunk)
+        np.testing.assert_array_equal(got, composed.rank_rows(hidden, targets, emb, chunk))
+        if kind == "constant":
+            assert got.tolist() == [n] * m
+
+    @pytest.mark.parametrize("d", [1, 64, 200])
+    def test_buffered_products_bits_equal_the_tile_products(self, d):
+        rng = np.random.default_rng(d)
+        tiles, h = rng.normal(size=(7, d, C)), rng.normal(size=(R, d))
+        buf = np.full((R, 3, C), np.nan)
+        for start, w in ((0, 3), (3, 3), (6, 1)):
+            assert E._tile_products(h, tiles, start, buf) == w
+            np.testing.assert_array_equal(buf[:, :w].transpose(1, 0, 2),
+                                          h @ tiles[start : start + w])
+            for t in range(w):
+                np.testing.assert_array_equal(buf[:, t], h @ tiles[start + t])
+
+    def test_large_catalog_pass_stays_within_12_mb(self):
+        # the large-catalog shape: 9593 items, d 64 and a 256-session batch's
+        # 1660 transitions; the fresh [width, TILE_ROWS, TILE_COLS] block of
+        # each row tile and its 3-d comparison peaked at 15.1 MB. The first
+        # call of a process also counts about 1 MB of NumPy's lazy imports,
+        # so a one-row call goes first
+        rng = np.random.default_rng(3)
+        emb, hidden = rng.normal(size=(9593, 64)), rng.normal(size=(1660, 64))
+        targets = rng.integers(0, 9593, 1660)
+        E._rank_rows(hidden[:1], targets[:1], emb, None)
+        ranks, peak = traced_peak(lambda: E._rank_rows(hidden, targets, emb, None))
+        assert peak <= 12 * MB
+        want = composed.rank_rows(hidden[:R], targets[:R], emb, None)
+        np.testing.assert_array_equal(ranks[:R], want)
 
 
 class TestRankContributions:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -392,6 +393,26 @@ class TestCheckpoint:
         path = self._rewritten(tmp_path, lambda arrays: arrays.pop("layers.0.ffn.w1"))
         with pytest.raises(CacheError, match="holds no parameter 'layers.0.ffn.w1'"):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["text", "int", "bool", "complex", "nan", "inf"])
+    def test_parameter_not_finite_real_floats_is_named(self, tmp_path, kind):
+        # each of these loaded before: Tensor cast it to float64, parsed the
+        # text and dropped the imaginary part with only a ComplexWarning
+        def spoil(arrays):
+            wq = arrays["layers.0.attn.wq"]
+            arrays["layers.0.attn.wq"] = {
+                "text": lambda: wq.astype(str), "int": lambda: wq.astype(np.int64),
+                "bool": lambda: wq > 0, "complex": lambda: wq + 0j,
+                "nan": lambda: np.where(wq == wq.flat[3], np.nan, wq),
+                "inf": lambda: np.where(wq == wq.flat[3], -np.inf, wq)}[kind]()
+
+        path = self._rewritten(tmp_path, spoil)
+        why = "holds a value that is not finite" if kind in ("nan", "inf") else "has dtype"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CacheError, match=re.escape(
+                    f"checkpoint {path} parameter 'layers.0.attn.wq' {why}")):
+                M.load_checkpoint(path)
 
     def test_parameter_of_another_shape_is_named(self, tmp_path):
         def narrow(arrays):

@@ -352,6 +352,34 @@ class TestCheckpointing:
         with pytest.raises(CacheError, match=re.escape(message)):
             TR.train(toy_config(), ds, resume_from=path)
 
+    @pytest.mark.parametrize("moment,kind,why", [
+        ("opt.m.item_emb", "text", "has dtype <U"),
+        ("opt.m.item_emb", "int", "has dtype int64, not a real floating type"),
+        ("opt.m.item_emb", "complex", "has dtype complex128, not a real floating type"),
+        ("opt.m.item_emb", "nan", "holds a value that is not finite"),
+        ("opt.v.item_emb", "inf", "holds a value that is not finite"),
+        ("opt.v.item_emb", "negative", "holds a negative value"),
+    ])
+    def test_resume_refuses_optimizer_moments_that_are_not_finite_floats(
+            self, tmp_path, moment, kind, why):
+        # text moments failed at the first step with a bare UFuncTypeError; a
+        # negative second moment made item_emb non-finite after one step
+        ds = toy_dataset()
+        TR.train(toy_config(**{"train.epochs": 1}), ds, out_dir=tmp_path)
+        path = tmp_path / "ckpt" / "epoch-1.bin"
+        state, extra = M.load_checkpoint(path)
+        stored = extra[moment]
+        extra[moment] = {"text": lambda: stored.astype(str),
+                         "int": lambda: stored.astype(np.int64),
+                         "complex": lambda: stored + 0j,
+                         "nan": lambda: np.where(stored == stored.flat[5], np.nan, stored),
+                         "inf": lambda: np.where(stored == stored.flat[5], np.inf, stored),
+                         "negative": lambda: stored - stored.max() - 1e-12}[kind]()
+        M.save_checkpoint(state, path, extra)
+        with pytest.raises(CacheError, match=re.escape(
+                f"checkpoint {path}: optimizer state '{moment}' {why}")):
+            TR.train(toy_config(), ds, resume_from=path)
+
     @pytest.mark.parametrize("fault", ["missing", "float", "two-values", "empty", "negative"])
     def test_resume_refuses_a_bad_epoch_count(self, tmp_path, fault):
         ds = toy_dataset()
@@ -386,6 +414,16 @@ class TestCheckpointing:
             opt.load_state_arrays(arrays)
         for key, value in opt.state_arrays().items():
             np.testing.assert_array_equal(value, before[key], err_msg=key)
+
+    def test_loaded_moments_are_float64_copies(self):
+        params = {"a": Tensor(np.ones(3), requires_grad=True)}
+        opt = TR.Adam(params)
+        arrays = {"opt.step": np.array([2]), "opt.m.a": np.full(3, 0.5, dtype=np.float32),
+                  "opt.v.a": np.full(3, 0.25)}
+        opt.load_state_arrays(arrays)
+        assert opt.m["a"].dtype == opt.v["a"].dtype == np.float64
+        assert opt.v["a"] is not arrays["opt.v.a"]
+        np.testing.assert_array_equal(opt.m["a"], 0.5)
 
     def test_optimizer_state_unchanged_by_a_refused_load(self):
         params = {"a": Tensor(np.ones(3), requires_grad=True),
